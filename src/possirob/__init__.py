@@ -20,7 +20,7 @@ random instances and scores solutions on possibility-guided scenario samples.
 from .fuzzy import FuzzyGoal, FuzzyInterval, SoftBound, joint_possibility
 from .linsys import LinearSystem
 from .simplex import (IterationLimitError, LpBackend, LpResult, LpStatus,
-                      ScipyBackend, SimplexBackend, SolverConfig,
+                      ScipyBackend, SimplexBackend, SolverConfig, SolverError,
                       check_feasible, solve)
 from .models import (Box, FeasibleSet, Polyhedron, UncertainInstance,
                      UncertainObjective, UncertainRow, build_light_robust,
@@ -30,7 +30,7 @@ from .models import (Box, FeasibleSet, Polyhedron, UncertainInstance,
 from .solver import (AssumptionViolation, LightRobustOutcome, SolveOutcome,
                     bisect, bisect_feasibility, nominal_optimum, solve_light_robust,
                     solve_nec, solve_soft_nec, solve_soft_nec_obj)
-from .combinatorial import (BudgetedCostRow, CombinatorialOracle, EdgeListGraph,
+from .combinatorial import (CombinatorialOracle, EdgeListGraph,
                             ExplicitSetOracle, ShortestPathOracle,
                             SpanningTreeOracle, brute_force_minmax, load_graph,
                             minmax_budgeted, parse_graph,
@@ -38,7 +38,8 @@ from .combinatorial import (BudgetedCostRow, CombinatorialOracle, EdgeListGraph,
 from .experiment import (DESK_P_GRID, DESK_SCALE, FULL_P_GRID, FULL_SCALE,
                          GeneratorSpec, InstanceMetrics, PointSummary,
                          SimulationReport, generate_instance, run_experiment,
-                         sample_scenario, sample_scenarios, stream, violation)
+                         sample_scenario, sample_scenarios, stream, violation,
+                         violation_metrics)
 from .instance_io import (InstanceFormatError, load_instance, parse_instance,
                           serialize_instance)
 
@@ -47,7 +48,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FuzzyInterval", "SoftBound", "FuzzyGoal", "joint_possibility",
     "LinearSystem",
-    "LpStatus", "LpResult", "SolverConfig", "IterationLimitError",
+    "LpStatus", "LpResult", "SolverConfig", "SolverError", "IterationLimitError",
     "LpBackend", "SimplexBackend", "ScipyBackend", "solve", "check_feasible",
     "UncertainRow", "UncertainObjective", "Box", "Polyhedron", "FeasibleSet",
     "UncertainInstance", "top_sum", "worst_case_lhs", "necessity_degree",
@@ -56,14 +57,14 @@ __all__ = [
     "AssumptionViolation", "SolveOutcome", "LightRobustOutcome",
     "nominal_optimum", "bisect", "bisect_feasibility", "solve_nec",
     "solve_soft_nec", "solve_soft_nec_obj", "solve_light_robust",
-    "BudgetedCostRow", "CombinatorialOracle", "ExplicitSetOracle",
+    "CombinatorialOracle", "ExplicitSetOracle",
     "ShortestPathOracle", "SpanningTreeOracle", "EdgeListGraph",
     "parse_graph", "load_graph", "worst_budgeted_cost", "minmax_budgeted",
     "brute_force_minmax", "solve_soft_nec_combinatorial",
     "GeneratorSpec", "InstanceMetrics", "PointSummary", "SimulationReport",
     "DESK_P_GRID", "FULL_P_GRID", "DESK_SCALE", "FULL_SCALE",
     "stream", "generate_instance", "sample_scenario", "sample_scenarios",
-    "violation", "run_experiment",
+    "violation", "violation_metrics", "run_experiment",
     "InstanceFormatError", "parse_instance", "serialize_instance",
     "load_instance",
 ]

@@ -5,7 +5,7 @@ Every command prints a deterministic key/value result document to stdout
 data as JSON.  Wall time goes to stderr so identical invocations produce
 identical stdout bytes.  Exit codes: 0 on success, 1 on input errors, 2 when
 a model is infeasible or the instance breaks the nominal-solvability
-assumption.
+assumption, 3 when the LP engine stops without a conclusive status.
 """
 
 from __future__ import annotations
@@ -14,17 +14,20 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Any
 
 import numpy as np
 
 from .combinatorial import (ShortestPathOracle, SpanningTreeOracle, load_graph,
                             solve_soft_nec_combinatorial)
-from .experiment import (DESK_SCALE, FULL_SCALE, GeneratorSpec, run_experiment,
-                         sample_scenarios, stream)
+from .experiment import (DESK_SCALE, FULL_SCALE, GeneratorSpec, _price,
+                         run_experiment, sample_scenarios, stream,
+                         violation_metrics)
+from .fuzzy import FuzzyGoal
 from .instance_io import InstanceFormatError, load_instance, serialize_instance
 from .models import UncertainInstance, build_robust
-from .simplex import (LpStatus, ScipyBackend, SimplexBackend, SolverConfig,
+from .simplex import (LpStatus, ScipyBackend, SimplexBackend, SolverError,
                       solve as lp_solve)
 from .solver import (AssumptionViolation, SolveOutcome, nominal_optimum,
                     solve_light_robust, solve_nec, solve_soft_nec,
@@ -33,6 +36,7 @@ from .solver import (AssumptionViolation, SolveOutcome, nominal_optimum,
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
+EXIT_SOLVER = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,20 +72,10 @@ def _emit(doc: dict[str, Any], out_path: str | None) -> None:
             fh.write("\n")
 
 
-def _price(cost: float, c_hat: float) -> float:
-    if c_hat == 0.0:
-        return 0.0 if cost == 0.0 else float("inf")
-    return abs((cost - c_hat) / c_hat)
-
-
 def _backend(args: argparse.Namespace):
     if getattr(args, "backend", "reference") == "scipy":
         return ScipyBackend()
     return SimplexBackend()
-
-
-def _config(args: argparse.Namespace) -> SolverConfig:
-    return SolverConfig()
 
 
 def _degree_doc(model: str, out: SolveOutcome, eps: float,
@@ -108,7 +102,7 @@ def _degree_doc(model: str, out: SolveOutcome, eps: float,
 
 def _cmd_nominal(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    c_hat, x_hat = nominal_optimum(inst, _config(args), _backend(args))
+    c_hat, x_hat = nominal_optimum(inst, backend=_backend(args))
     _emit({"model": "nominal", "status": "optimal", "objective": c_hat,
            "nominal_value": c_hat, "d": 0.0, "solution": x_hat}, args.out)
     return EXIT_OK
@@ -116,9 +110,10 @@ def _cmd_nominal(args: argparse.Namespace) -> int:
 
 def _cmd_robust(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    c_hat, _ = nominal_optimum(inst, _config(args), _backend(args))
+    backend = _backend(args)
+    c_hat, _ = nominal_optimum(inst, backend=backend)
     system = build_robust(inst, args.lam)
-    res = lp_solve(system, _config(args), _backend(args))
+    res = lp_solve(system, backend=backend)
     if res.status is not LpStatus.OPTIMAL:
         _emit({"model": "robust", "status": res.status.value}, args.out)
         return EXIT_INFEASIBLE
@@ -131,7 +126,7 @@ def _cmd_robust(args: argparse.Namespace) -> int:
 
 def _cmd_light(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    out = solve_light_robust(inst, args.rho0, args.norm, _config(args), _backend(args))
+    out = solve_light_robust(inst, args.rho0, args.norm, backend=_backend(args))
     cost = float(np.dot(inst.cost_nominal(), out.solution))
     _emit({"model": "light", "status": "optimal", "objective": out.value,
            "norm": args.norm, "nominal_value": out.nominal_value,
@@ -142,7 +137,7 @@ def _cmd_light(args: argparse.Namespace) -> int:
 
 def _cmd_nec(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    out = solve_nec(inst, args.rho0, args.epsilon, _config(args), _backend(args))
+    out = solve_nec(inst, args.rho0, args.epsilon, backend=_backend(args))
     cost = float(np.dot(inst.cost_nominal(), out.solution))
     _emit(_degree_doc("nec", out, args.epsilon, cost), args.out)
     return EXIT_OK
@@ -151,7 +146,7 @@ def _cmd_nec(args: argparse.Namespace) -> int:
 def _cmd_soft_nec(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     out = solve_soft_nec(inst, args.rho0, args.z, args.nominal_feasible,
-                         args.epsilon, _config(args), _backend(args))
+                         args.epsilon, backend=_backend(args))
     cost = float(np.dot(inst.cost_nominal(), out.solution))
     _emit(_degree_doc("soft-nec", out, args.epsilon, cost), args.out)
     return EXIT_OK
@@ -164,15 +159,12 @@ def _cmd_soft_nec_obj(args: argparse.Namespace) -> int:
               "(object form of 'c')", file=sys.stderr)
         return EXIT_INPUT
     obj = inst.objective
-    from dataclasses import replace
-
-    from .fuzzy import FuzzyGoal
     shape = args.z if args.z is not None else obj.goal.shape
     goal = FuzzyGoal(None, args.rho0, shape)
     inst = UncertainInstance(objective=replace(obj, goal=goal), rows=inst.rows,
                              feasible_set=inst.feasible_set)
     out = solve_soft_nec_obj(inst, args.epsilon, args.nominal_feasible,
-                             _config(args), _backend(args))
+                             backend=_backend(args))
     cost = float(np.dot(inst.cost_nominal(), out.solution))
     _emit(_degree_doc("soft-nec-obj", out, args.epsilon, cost), args.out)
     return EXIT_OK
@@ -197,29 +189,27 @@ _SIMULATE_MODELS = ("nominal", "robust", "light", "nec", "soft-nec")
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
-    config, backend = _config(args), _backend(args)
-    c_hat, x_hat = nominal_optimum(inst, config, backend)
+    backend = _backend(args)
+    c_hat, x_hat = nominal_optimum(inst, backend=backend)
     if args.model == "nominal":
         x = x_hat
     elif args.model == "robust":
         system = build_robust(inst, 0.0)
-        res = lp_solve(system, config, backend)
+        res = lp_solve(system, backend=backend)
         if res.status is not LpStatus.OPTIMAL:
             _emit({"model": "simulate", "solved": "robust",
                    "status": res.status.value}, args.out)
             return EXIT_INFEASIBLE
         x = system.extract_x(res.point)
     elif args.model == "light":
-        x = solve_light_robust(inst, args.rho0, args.norm, config, backend).solution
+        x = solve_light_robust(inst, args.rho0, args.norm, backend=backend).solution
     elif args.model == "nec":
-        x = solve_nec(inst, args.rho0, args.epsilon, config, backend).solution
+        x = solve_nec(inst, args.rho0, args.epsilon, backend=backend).solution
     else:
         x = solve_soft_nec(inst, args.rho0, args.z, args.nominal_feasible,
-                           args.epsilon, config, backend).solution
+                           args.epsilon, backend=backend).solution
     scen = sample_scenarios(inst, stream(args.seed, 1, 0), args.scenarios)
-    b = np.array([row.rhs.base for row in inst.rows])
-    lhs = scen @ x
-    viol = np.maximum((lhs - b) / b, 0.0).max(axis=1)
+    infeas, aviol = violation_metrics(x, scen, inst)
     cost = float(np.dot(inst.cost_nominal(), x))
     _emit({
         "model": "simulate",
@@ -230,8 +220,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "nominal_value": c_hat,
         "cost": cost,
         "d": _price(cost, c_hat),
-        "infeas": float(np.mean(viol > 0.0)),
-        "aviol": float(np.mean(viol)),
+        "infeas": infeas,
+        "aviol": aviol,
         "solution": x,
     }, args.out)
     return EXIT_OK
@@ -248,7 +238,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         instances_per_p=args.instances if args.instances else scale["instances_per_p"],
         scenarios=args.scenarios if args.scenarios else scale["scenarios"],
         eps=args.epsilon,
-        config=_config(args),
         backend=_backend(args),
         progress=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None,
     )
@@ -349,11 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("experiment", help="budget sweep over random instances")
     _add_common(p, instance=False)
-    scale = p.add_mutually_exclusive_group()
-    scale.add_argument("--desk", action="store_true", default=True,
-                       help="desk scale: n=40, 20 instances, 200 scenarios (default)")
-    scale.add_argument("--full", action="store_true",
-                       help="full scale: n=100, 100 instances, 1000 scenarios")
+    p.add_argument("--full", action="store_true",
+                   help="full scale: n=100, 100 instances, 1000 scenarios "
+                        "(default: desk scale, n=40, 20 instances, 200 scenarios)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=int, default=0, help="override the variable count")
     p.add_argument("--m", type=int, default=5)
@@ -389,6 +376,9 @@ def main(argv: list[str] | None = None) -> int:
     except AssumptionViolation as exc:
         print(f"assumption violation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except SolverError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

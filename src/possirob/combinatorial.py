@@ -23,12 +23,11 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .fuzzy import _check_level
-from .models import UncertainObjective, top_sum
+from .fuzzy import FuzzyGoal, _check_level
+from .models import UncertainObjective, worst_case_lhs
 from .solver import SolveOutcome, bisect_feasibility
 
 __all__ = [
-    "BudgetedCostRow",
     "CombinatorialOracle",
     "ExplicitSetOracle",
     "ShortestPathOracle",
@@ -42,11 +41,6 @@ __all__ = [
     "solve_soft_nec_combinatorial",
 ]
 
-# The uncertain-objective record doubles as the combinatorial cost row: fuzzy
-# costs, a protection budget, violation slack and the cost goal.
-BudgetedCostRow = UncertainObjective
-
-
 class CombinatorialOracle(Protocol):
     """Deterministic solver for the crisp counterpart over the ground set."""
 
@@ -55,17 +49,12 @@ class CombinatorialOracle(Protocol):
         ...
 
 
-def worst_budgeted_cost(row: BudgetedCostRow, x: Sequence[float], lam: float) -> float:
-    """Worst-case cost of ``x`` at level ``lam`` with at most ``protection``
-    coefficients pushed to their cut upper endpoints."""
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (row.n,):
-        raise ValueError(f"x has shape {xv.shape}, expected ({row.n},)")
-    base = float(np.dot(row.nominal(), xv))
-    return base + top_sum(row.half_widths(lam) * xv, row.protection)
+# The worst-case cost of a 0/1 vector is the budgeted worst case of its cost
+# row: one evaluator serves constraint and cost rows alike.
+worst_budgeted_cost = worst_case_lhs
 
 
-def minmax_budgeted(row: BudgetedCostRow, lam: float,
+def minmax_budgeted(row: UncertainObjective, lam: float,
                     oracle: CombinatorialOracle) -> tuple[float, np.ndarray]:
     """Minimize the level-``lam`` worst-case cost over the oracle's feasible set.
 
@@ -83,7 +72,7 @@ def minmax_budgeted(row: BudgetedCostRow, lam: float,
         adjusted = c_hat + np.maximum(widths - theta, 0.0)
         x, _ = oracle.minimize(adjusted)
         x = np.asarray(x, dtype=float)
-        value = worst_budgeted_cost(row, x, lam)
+        value = worst_case_lhs(row, x, lam)
         if value < best_value:
             best_value = value
             best_x = x
@@ -91,7 +80,7 @@ def minmax_budgeted(row: BudgetedCostRow, lam: float,
     return best_value, best_x
 
 
-def brute_force_minmax(row: BudgetedCostRow, lam: float,
+def brute_force_minmax(row: UncertainObjective, lam: float,
                        candidates: Sequence[Sequence[float]],
                        ) -> tuple[float, np.ndarray]:
     """Exact reference: enumerate every candidate against every deviation
@@ -120,7 +109,7 @@ def brute_force_minmax(row: BudgetedCostRow, lam: float,
     return best_value, best_x
 
 
-def solve_soft_nec_combinatorial(row: BudgetedCostRow, oracle: CombinatorialOracle,
+def solve_soft_nec_combinatorial(row: UncertainObjective, oracle: CombinatorialOracle,
                                  eps: float = 1e-4) -> SolveOutcome:
     """Maximize the soft-protection degree of the budgeted cost row.
 
@@ -128,27 +117,16 @@ def solve_soft_nec_combinatorial(row: BudgetedCostRow, oracle: CombinatorialOrac
     a level is feasible when the min-max worst-case cost stays within the
     nominal optimum plus the graded goal and slack allowances.
     """
-    c_hat_vec = row.nominal()
-    x_hat, c_hat = oracle.minimize(c_hat_vec)
+    x_hat, c_hat = oracle.minimize(row.nominal())
     x_hat = np.asarray(x_hat, dtype=float)
     c_hat = float(c_hat)
-    goal = row.goal
 
     def probe(lam: float) -> np.ndarray | None:
         value, x = minmax_budgeted(row, lam, oracle)
-        budget = (c_hat + goal.relaxation(1.0 - lam)
-                  + row.slack.relaxed_rhs(1.0 - lam))
-        return x if value <= budget else None
+        return x if value <= row.budget(c_hat, lam) else None
 
-    witness, lam_bar, checks, at_top = bisect_feasibility(probe, eps, incumbent=x_hat)
-    return SolveOutcome(
-        solution=witness,
-        lambda_bar=lam_bar,
-        degree=1.0 - lam_bar,
-        nominal_value=c_hat,
-        iterations=checks + 1,
-        effectively_zero=at_top,
-    )
+    return SolveOutcome.from_bracket(bisect_feasibility(probe, eps, incumbent=x_hat),
+                                     c_hat, extra_checks=1)
 
 
 # -- bundled oracles -----------------------------------------------------
@@ -185,10 +163,8 @@ class EdgeListGraph:
         return len(self.edges)
 
     def cost_row(self, protection: int, rho0: float = 0.0, slack_bar: float = 0.0,
-                 shape: float = 1.0) -> BudgetedCostRow:
+                 shape: float = 1.0) -> UncertainObjective:
         """Bundle the edge costs into a budgeted cost row with the given goal."""
-        from .fuzzy import FuzzyGoal
-
         return UncertainObjective.from_arrays(
             self.c_hat, self.c_bar, protection, slack_bar,
             FuzzyGoal(None, rho0, shape), shape)

@@ -41,6 +41,7 @@ __all__ = [
     "sample_scenario",
     "sample_scenarios",
     "violation",
+    "violation_metrics",
     "run_experiment",
 ]
 
@@ -122,13 +123,6 @@ def generate_instance(spec: GeneratorSpec, index: int = 0) -> UncertainInstance:
                              feasible_set=Box.unit(spec.n))
 
 
-def _row_arrays(instance: UncertainInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    a_hat = np.array([[fi.nominal for fi in row.coefficients] for row in instance.rows])
-    a_bar = np.array([[fi.deviation for fi in row.coefficients] for row in instance.rows])
-    shape = np.array([[fi.shape for fi in row.coefficients] for row in instance.rows])
-    return a_hat, a_bar, shape
-
-
 def sample_scenarios(instance: UncertainInstance, rng: np.random.Generator,
                      count: int) -> np.ndarray:
     """Draw a ``(count, m, n)`` batch of coefficient realizations.
@@ -137,7 +131,9 @@ def sample_scenarios(instance: UncertainInstance, rng: np.random.Generator,
     uniform inside the cut at that level.  Deviation-free coefficients stay
     at their nominal values.
     """
-    a_hat, a_bar, shape = _row_arrays(instance)
+    a_hat = np.array([row.a_hat for row in instance.rows])
+    a_bar = np.array([row.a_bar for row in instance.rows])
+    shape = np.array([row.shape for row in instance.rows])
     lam = rng.random((count, instance.m, instance.n))
     u = rng.random((count, instance.m, instance.n))
     half = a_bar * (1.0 - lam ** shape)
@@ -147,32 +143,31 @@ def sample_scenarios(instance: UncertainInstance, rng: np.random.Generator,
 def sample_scenario(instance: UncertainInstance,
                     rng: np.random.Generator) -> np.ndarray:
     """Draw a single ``(m, n)`` coefficient realization."""
-    a_hat, a_bar, shape = _row_arrays(instance)
-    lam = rng.random((instance.m, instance.n))
-    u = rng.random((instance.m, instance.n))
-    half = a_bar * (1.0 - lam ** shape)
-    return a_hat + (2.0 * u - 1.0) * half
+    return sample_scenarios(instance, rng, 1)[0]
 
 
-def _rhs_vector(instance: UncertainInstance) -> np.ndarray:
+def _violations(x: Sequence[float], scenarios: np.ndarray,
+                instance: UncertainInstance) -> np.ndarray:
+    # Largest relative row overshoot per scenario; the last two axes of
+    # ``scenarios`` are (m, n).
     b = np.array([row.rhs.base for row in instance.rows])
     if np.any(b <= 0):
         raise ValueError("violation metrics require strictly positive bounds")
-    return b
+    lhs = np.asarray(scenarios, dtype=float) @ np.asarray(x, dtype=float)
+    return np.maximum((lhs - b) / b, 0.0).max(axis=-1)
 
 
 def violation(x: Sequence[float], scenario: np.ndarray,
               instance: UncertainInstance) -> float:
     """Largest relative constraint overshoot of ``x`` under one scenario."""
-    b = _rhs_vector(instance)
-    lhs = np.asarray(scenario, dtype=float) @ np.asarray(x, dtype=float)
-    return float(np.maximum((lhs - b) / b, 0.0).max())
+    return float(_violations(x, scenario, instance))
 
 
-def _batch_metrics(x: np.ndarray, scenarios: np.ndarray,
-                   b: np.ndarray) -> tuple[float, float]:
-    lhs = scenarios @ x
-    viol = np.maximum((lhs - b) / b, 0.0).max(axis=1)
+def violation_metrics(x: Sequence[float], scenarios: np.ndarray,
+                      instance: UncertainInstance) -> tuple[float, float]:
+    """Share of scenarios with a violated row, and the mean largest relative
+    violation, of ``x`` over a ``(count, m, n)`` batch."""
+    viol = _violations(x, scenarios, instance)
     return float(np.mean(viol > 0.0)), float(np.mean(viol))
 
 
@@ -259,7 +254,7 @@ def run_experiment(spec: GeneratorSpec,
     grid = tuple(float(p) for p in (p_grid if p_grid is not None else FULL_P_GRID))
     say = progress or (lambda _msg: None)
 
-    prepared: list[tuple[UncertainInstance, np.ndarray, np.ndarray, float] | None] = []
+    prepared: list[tuple[UncertainInstance, np.ndarray, float] | None] = []
     for i in range(instances_per_p):
         inst = generate_instance(spec, index=i)
         scen = sample_scenarios(inst, stream(spec.seed, 1, i), scenarios)
@@ -269,7 +264,7 @@ def run_experiment(spec: GeneratorSpec,
             say(f"instance {i} excluded: {exc}")
             prepared.append(None)
             continue
-        prepared.append((inst, scen, _rhs_vector(inst), c_hat))
+        prepared.append((inst, scen, c_hat))
     say(f"prepared {sum(1 for p in prepared if p is not None)}/{instances_per_p} instances")
 
     points: list[PointSummary] = []
@@ -282,7 +277,7 @@ def run_experiment(spec: GeneratorSpec,
             if prep is None:
                 excluded += 1
                 continue
-            inst, scen, b, c_hat = prep
+            inst, scen, c_hat = prep
             rho0 = p * abs(c_hat)
             try:
                 light = solve_light_robust(inst, rho0, norm, config, backend)
@@ -296,8 +291,8 @@ def run_experiment(spec: GeneratorSpec,
             cost_l = float(np.dot(costs, light.solution))
             cost_s = float(np.dot(costs, soft.solution))
             d_l, d_s = _price(cost_l, c_hat), _price(cost_s, c_hat)
-            infeas_l, aviol_l = _batch_metrics(light.solution, scen, b)
-            infeas_s, aviol_s = _batch_metrics(soft.solution, scen, b)
+            infeas_l, aviol_l = violation_metrics(light.solution, scen, inst)
+            infeas_s, aviol_s = violation_metrics(soft.solution, scen, inst)
             sums += (d_l, d_s, infeas_l, infeas_s, aviol_l, aviol_s)
             included += 1
             details.append(InstanceMetrics(

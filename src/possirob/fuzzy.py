@@ -140,6 +140,10 @@ class FuzzyGoal:
     shape: float = 1.0
 
     def __post_init__(self) -> None:
+        anchor = 0.0 if self.nominal_optimum is None else self.nominal_optimum
+        if not (math.isfinite(anchor) and math.isfinite(self.tolerance)
+                and math.isfinite(self.shape)):
+            raise ValueError("fuzzy goal parameters must be finite")
         if self.tolerance < 0:
             raise ValueError(f"tolerance must be nonnegative, got {self.tolerance}")
         if self.shape < 0:

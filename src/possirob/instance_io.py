@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .fuzzy import FuzzyGoal, FuzzyInterval
+from .fuzzy import FuzzyGoal
 from .models import (Box, Polyhedron, UncertainInstance, UncertainObjective,
                      UncertainRow)
 
@@ -171,8 +171,8 @@ def parse_instance(doc: Any) -> UncertainInstance:
                              feasible_set=feasible_set)
 
 
-def _uniform_shape(intervals: tuple[FuzzyInterval, ...], what: str) -> float:
-    shapes = {fi.shape for fi in intervals}
+def _uniform_shape(row: UncertainRow | UncertainObjective, what: str) -> float:
+    shapes = set(row.shape)
     if len(shapes) != 1:
         raise ValueError(f"{what} mixes per-coefficient shapes; "
                          "the document schema carries one shape per row")
@@ -184,13 +184,13 @@ def serialize_instance(instance: UncertainInstance) -> dict:
     n, m = instance.n, instance.m
     rows = []
     for i, row in enumerate(instance.rows):
-        z = _uniform_shape(row.coefficients, f"row {i}")
+        z = _uniform_shape(row, f"row {i}")
         if row.rhs.slack > 0 and row.rhs.shape != z:
             raise ValueError(f"row {i} uses a bound shape different from its "
                              "coefficient shape; the document schema carries one")
         rows.append({
-            "a_hat": [fi.nominal for fi in row.coefficients],
-            "a_bar": [fi.deviation for fi in row.coefficients],
+            "a_hat": list(row.a_hat),
+            "a_bar": list(row.a_bar),
             "b": row.rhs.base,
             "b_bar": row.rhs.slack,
             "gamma": row.protection,
@@ -199,11 +199,11 @@ def serialize_instance(instance: UncertainInstance) -> dict:
     obj = instance.objective
     if isinstance(obj, UncertainObjective):
         c: Any = {
-            "c_hat": [fi.nominal for fi in obj.coefficients],
-            "c_bar": [fi.deviation for fi in obj.coefficients],
+            "c_hat": list(obj.a_hat),
+            "c_bar": list(obj.a_bar),
             "gamma0": obj.protection,
             "b0_bar": obj.slack.slack,
-            "z": _uniform_shape(obj.coefficients, "objective"),
+            "z": _uniform_shape(obj, "objective"),
         }
     else:
         c = list(obj)

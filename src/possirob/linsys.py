@@ -9,7 +9,7 @@ decision indices are recorded so solution vectors can be projected back.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -123,10 +123,9 @@ class LinearSystem:
             if finite.any():
                 over = (v[finite] - hi[finite]) / (1.0 + np.abs(hi[finite]))
                 worst = max(worst, float(over.max()))
-        res = self.residuals(v)
-        if res.size:
-            _, b = self.dense()
-            worst = max(worst, float((res / (1.0 + np.abs(b))).max()))
+        a, b = self.dense()
+        if b.size:
+            worst = max(worst, float(((a @ v - b) / (1.0 + np.abs(b))).max()))
         return worst
 
     def extract_x(self, point: np.ndarray) -> np.ndarray:
@@ -134,9 +133,6 @@ class LinearSystem:
         if not self.x_indices:
             return np.asarray(point, dtype=float).copy()
         return np.asarray(point, dtype=float)[self.x_indices].copy()
-
-    def iter_rows(self) -> Iterator[tuple[dict[int, float], float]]:
-        return iter(self.rows)
 
     def __repr__(self) -> str:
         return (f"LinearSystem({self.n_variables} variables, "

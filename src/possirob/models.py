@@ -23,7 +23,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .fuzzy import FuzzyGoal, FuzzyInterval, SoftBound, _check_level
+from .fuzzy import FuzzyGoal, SoftBound, _check_level
 from .linsys import LinearSystem
 
 __all__ = [
@@ -46,67 +46,79 @@ __all__ = [
 ]
 
 
-def _validate_protection(protection: int, n: int) -> None:
-    # Fractional budgets would still dualize correctly but are not part of
-    # the model; reject them up front.
-    if isinstance(protection, bool) or not isinstance(protection, (int, np.integer)):
-        raise ValueError(f"protection level must be an integer, got {protection!r}")
-    if not 0 <= protection <= n:
-        raise ValueError(f"protection level {protection} outside [0, {n}]")
-
-
-def _as_intervals(a_hat: Sequence[float], a_bar: Sequence[float],
-                  shape: float) -> tuple[FuzzyInterval, ...]:
-    if len(a_hat) != len(a_bar):
-        raise ValueError("nominal and deviation vectors differ in length")
-    return tuple(FuzzyInterval(float(h), float(d), shape)
-                 for h, d in zip(a_hat, a_bar))
-
-
 @dataclass(frozen=True)
-class UncertainRow:
-    """One budgeted fuzzy constraint: coefficients, soft bound, protection level."""
+class _FuzzyRow:
+    """Budgeted row of symmetric fuzzy intervals ``a_hat[j] +- a_bar[j]``.
 
-    coefficients: tuple[FuzzyInterval, ...]
-    rhs: SoftBound
+    Coefficient ``j`` has shape ``shape[j]``, so its level-``lam`` cut has
+    half-width ``a_bar[j] * (1 - lam ** shape[j])``; at most ``protection``
+    coefficients deviate at once.
+    """
+
+    a_hat: tuple[float, ...]
+    a_bar: tuple[float, ...]
+    shape: tuple[float, ...]
     protection: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        _validate_protection(self.protection, len(self.coefficients))
-        object.__setattr__(self, "protection", int(self.protection))
+        for name in ("a_hat", "a_bar", "shape"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        if not len(self.a_hat) == len(self.a_bar) == len(self.shape):
+            raise ValueError("nominal, deviation and shape vectors differ in length")
+        if not all(map(math.isfinite, self.a_hat + self.a_bar + self.shape)):
+            raise ValueError("fuzzy interval parameters must be finite")
+        if any(d < 0 for d in self.a_bar):
+            raise ValueError(f"deviation must be nonnegative, got {min(self.a_bar)}")
+        if any(z <= 0 for z in self.shape):
+            raise ValueError(f"shape must be positive, got {min(self.shape)}")
+        # Fractional budgets would still dualize correctly but are not part
+        # of the model; reject them up front.
+        p = self.protection
+        if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+            raise ValueError(f"protection level must be an integer, got {p!r}")
+        if not 0 <= p <= self.n:
+            raise ValueError(f"protection level {p} outside [0, {self.n}]")
+        object.__setattr__(self, "protection", int(p))
+
+    @property
+    def n(self) -> int:
+        return len(self.a_hat)
+
+    def nominal(self) -> np.ndarray:
+        return np.array(self.a_hat)
+
+    def half_widths(self, lam: float) -> np.ndarray:
+        """Cut half-widths at level ``lam``, one per coefficient."""
+        _check_level(lam)
+        # One Python float power per distinct shape: numpy's vectorized power
+        # can differ from it in the last ulp.
+        scale = {z: 1.0 - lam ** z for z in set(self.shape)}
+        return np.array(self.a_bar) * np.array([scale[z] for z in self.shape])
+
+
+@dataclass(frozen=True)
+class UncertainRow(_FuzzyRow):
+    """One budgeted fuzzy constraint: coefficients, protection level, soft bound."""
+
+    rhs: SoftBound
 
     @classmethod
     def from_arrays(cls, a_hat: Sequence[float], a_bar: Sequence[float],
                     b: float, protection: int, b_bar: float = 0.0,
                     shape: float = 1.0) -> "UncertainRow":
-        return cls(_as_intervals(a_hat, a_bar, shape),
-                   SoftBound(float(b), float(b_bar), shape), protection)
-
-    @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-    def nominal(self) -> np.ndarray:
-        return np.array([fi.nominal for fi in self.coefficients])
-
-    def half_widths(self, lam: float) -> np.ndarray:
-        return np.array([fi.alpha_at(lam) for fi in self.coefficients])
+        return cls(a_hat, a_bar, (float(shape),) * len(a_hat), protection,
+                   SoftBound(float(b), float(b_bar), shape))
 
 
 @dataclass(frozen=True)
-class UncertainObjective:
+class UncertainObjective(_FuzzyRow):
     """Fuzzy cost vector with its own protection budget, violation slack and goal."""
 
-    coefficients: tuple[FuzzyInterval, ...]
-    protection: int
     slack: SoftBound = SoftBound(0.0)
     goal: FuzzyGoal = FuzzyGoal(None, 0.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        _validate_protection(self.protection, len(self.coefficients))
-        object.__setattr__(self, "protection", int(self.protection))
+        super().__post_init__()
         if self.slack.base != 0.0:
             raise ValueError("objective slack must be anchored at zero")
 
@@ -115,24 +127,18 @@ class UncertainObjective:
                     protection: int, slack_bar: float = 0.0,
                     goal: FuzzyGoal | None = None,
                     shape: float = 1.0) -> "UncertainObjective":
-        return cls(_as_intervals(c_hat, c_bar, shape), protection,
+        return cls(c_hat, c_bar, (float(shape),) * len(c_hat), protection,
                    SoftBound(0.0, float(slack_bar), shape),
                    goal if goal is not None else FuzzyGoal(None, 0.0, shape))
 
     @property
-    def n(self) -> int:
-        return len(self.coefficients)
-
-    def nominal(self) -> np.ndarray:
-        return np.array([fi.nominal for fi in self.coefficients])
-
-    def half_widths(self, lam: float) -> np.ndarray:
-        return np.array([fi.alpha_at(lam) for fi in self.coefficients])
-
-    @property
     def is_crisp(self) -> bool:
-        return (all(fi.deviation == 0.0 for fi in self.coefficients)
-                and self.slack.slack == 0.0)
+        return not any(self.a_bar) and self.slack.slack == 0.0
+
+    def budget(self, c_hat: float, lam: float) -> float:
+        """Largest acceptable worst-case cost at level ``lam`` when the goal
+        is anchored at the nominal optimum ``c_hat``."""
+        return c_hat + self.goal.relaxation(1.0 - lam) + self.slack.relaxed_rhs(1.0 - lam)
 
 
 @dataclass(frozen=True)
@@ -237,9 +243,12 @@ def top_sum(values: np.ndarray, k: int) -> float:
     return math.fsum(v[idx])
 
 
-def worst_case_lhs(row: UncertainRow, x: Sequence[float], lam: float) -> float:
+def worst_case_lhs(row: UncertainRow | UncertainObjective, x: Sequence[float],
+                   lam: float) -> float:
     """Largest left-hand side of ``row`` over level-``lam`` scenarios with at
-    most ``protection`` deviating coefficients, for nonnegative ``x``."""
+    most ``protection`` deviating coefficients, for nonnegative ``x``.
+
+    On a cost row this is the worst-case cost of ``x``."""
     xv = np.asarray(x, dtype=float)
     if xv.shape != (row.n,):
         raise ValueError(f"x has shape {xv.shape}, expected ({row.n},)")
@@ -288,10 +297,7 @@ def dualize_budgeted_row(system: LinearSystem, row: UncertainRow | UncertainObje
     _check_level(lam)
     if len(x_indices) != row.n:
         raise ValueError("decision block does not match the row dimension")
-    lhs: dict[int, float] = {}
-    for j, fi in enumerate(row.coefficients):
-        if fi.nominal != 0.0:
-            lhs[x_indices[j]] = fi.nominal
+    lhs = _nominal_terms(row, x_indices)
     if row.protection == 0:
         return lhs
     widths = row.half_widths(lam)
@@ -304,6 +310,11 @@ def dualize_budgeted_row(system: LinearSystem, row: UncertainRow | UncertainObje
         lhs[p] = 1.0
         system.add_leq({x_indices[j]: widths[j], w: -1.0, p: -1.0}, 0.0)
     return lhs
+
+
+def _nominal_terms(row: UncertainRow | UncertainObjective,
+                   x_idx: Sequence[int]) -> dict[int, float]:
+    return {x_idx[j]: a for j, a in enumerate(row.a_hat) if a != 0.0}
 
 
 def _add_decision_block(system: LinearSystem, instance: UncertainInstance) -> list[int]:
@@ -329,6 +340,25 @@ def _require_crisp_objective(instance: UncertainInstance, what: str) -> None:
         raise ValueError(f"{what} requires a crisp objective vector")
 
 
+def _add_nominal_row(system: LinearSystem, row: UncertainRow,
+                     x_idx: Sequence[int]) -> None:
+    system.add_leq(_nominal_terms(row, x_idx), row.rhs.base)
+
+
+def _nominal_rows(system: LinearSystem, instance: UncertainInstance,
+                  x_idx: Sequence[int]) -> None:
+    for row in instance.rows:
+        _add_nominal_row(system, row, x_idx)
+
+
+def _protected_rows(system: LinearSystem, instance: UncertainInstance,
+                    lam: float, x_idx: Sequence[int], soft: bool = False) -> None:
+    # Soft rows are granted their graded slack at level ``1 - lam``.
+    for i, row in enumerate(instance.rows):
+        lhs = dualize_budgeted_row(system, row, lam, x_idx, str(i))
+        system.add_leq(lhs, row.rhs.relaxed_rhs(1.0 - lam) if soft else row.rhs.base)
+
+
 # -- model builders ------------------------------------------------------
 
 
@@ -336,10 +366,7 @@ def build_nominal(instance: UncertainInstance) -> LinearSystem:
     """Deterministic counterpart under nominal data: min c.x, Ahat x <= b, x in X."""
     system = LinearSystem()
     x_idx = _add_decision_block(system, instance)
-    for i, row in enumerate(instance.rows):
-        nom = row.nominal()
-        system.add_leq({x_idx[j]: nom[j] for j in range(row.n) if nom[j] != 0.0},
-                       row.rhs.base)
+    _nominal_rows(system, instance, x_idx)
     system.set_objective(_cost_terms(instance, x_idx))
     return system
 
@@ -349,9 +376,7 @@ def build_robust(instance: UncertainInstance, lam: float = 0.0) -> LinearSystem:
     _require_crisp_objective(instance, "the robust model")
     system = LinearSystem()
     x_idx = _add_decision_block(system, instance)
-    for i, row in enumerate(instance.rows):
-        lhs = dualize_budgeted_row(system, row, lam, x_idx, str(i))
-        system.add_leq(lhs, row.rhs.base)
+    _protected_rows(system, instance, lam, x_idx)
     system.set_objective(_cost_terms(instance, x_idx))
     return system
 
@@ -367,8 +392,8 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
     """
     if norm not in ("max", "sum"):
         raise ValueError(f"norm must be 'max' or 'sum', got {norm!r}")
-    if rho0 < 0:
-        raise ValueError("cost tolerance must be nonnegative")
+    if not (math.isfinite(rho0) and rho0 >= 0):
+        raise ValueError(f"cost tolerance must be finite and nonnegative, got {rho0!r}")
     _require_crisp_objective(instance, "the light robust model")
     system = LinearSystem()
     x_idx = _add_decision_block(system, instance)
@@ -377,9 +402,7 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
         lhs = dualize_budgeted_row(system, row, 0.0, x_idx, str(i))
         lhs[slack_idx[i]] = -1.0
         system.add_leq(lhs, row.rhs.base)
-        nom = row.nominal()
-        system.add_leq({x_idx[j]: nom[j] for j in range(row.n) if nom[j] != 0.0},
-                       row.rhs.base)
+        _add_nominal_row(system, row, x_idx)
     system.add_leq(_cost_terms(instance, x_idx), c_hat + rho0)
     if norm == "max":
         t = system.add_variable("gamma_max")
@@ -399,27 +422,10 @@ def build_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal) -> Linea
         raise ValueError("goal anchor is unset; solve the nominal problem first")
     system = LinearSystem()
     x_idx = _add_decision_block(system, instance)
-    for i, row in enumerate(instance.rows):
-        lhs = dualize_budgeted_row(system, row, lam, x_idx, str(i))
-        system.add_leq(lhs, row.rhs.base)
+    _protected_rows(system, instance, lam, x_idx)
     system.add_leq(_cost_terms(instance, x_idx),
                    goal.nominal_optimum + goal.tolerance)
     return system
-
-
-def _soft_row_blocks(system: LinearSystem, instance: UncertainInstance,
-                     lam: float, x_idx: Sequence[int]) -> None:
-    for i, row in enumerate(instance.rows):
-        lhs = dualize_budgeted_row(system, row, lam, x_idx, str(i))
-        system.add_leq(lhs, row.rhs.relaxed_rhs(1.0 - lam))
-
-
-def _nominal_rows(system: LinearSystem, instance: UncertainInstance,
-                  x_idx: Sequence[int]) -> None:
-    for row in instance.rows:
-        nom = row.nominal()
-        system.add_leq({x_idx[j]: nom[j] for j in range(row.n) if nom[j] != 0.0},
-                       row.rhs.base)
 
 
 def build_soft_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal,
@@ -434,7 +440,7 @@ def build_soft_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal,
     _check_level(lam)
     system = LinearSystem()
     x_idx = _add_decision_block(system, instance)
-    _soft_row_blocks(system, instance, lam, x_idx)
+    _protected_rows(system, instance, lam, x_idx, soft=True)
     system.add_leq(_cost_terms(instance, x_idx), goal.rhs_at(1.0 - lam))
     if include_nominal:
         _nominal_rows(system, instance, x_idx)
@@ -455,11 +461,9 @@ def build_soft_nec_obj(instance: UncertainInstance, lam: float, c_hat: float,
     _check_level(lam)
     system = LinearSystem()
     x_idx = _add_decision_block(system, instance)
-    lhs = dualize_budgeted_row(system, obj, lam, x_idx, "0")
-    budget = (c_hat + obj.goal.relaxation(1.0 - lam)
-              + obj.slack.relaxed_rhs(1.0 - lam))
-    system.add_leq(lhs, budget)
-    _soft_row_blocks(system, instance, lam, x_idx)
+    system.add_leq(dualize_budgeted_row(system, obj, lam, x_idx, "0"),
+                   obj.budget(c_hat, lam))
+    _protected_rows(system, instance, lam, x_idx, soft=True)
     if include_nominal:
         _nominal_rows(system, instance, x_idx)
     return system

@@ -26,6 +26,7 @@ __all__ = [
     "LpStatus",
     "LpResult",
     "SolverConfig",
+    "SolverError",
     "IterationLimitError",
     "LpBackend",
     "SimplexBackend",
@@ -57,14 +58,12 @@ class LpResult:
 class SolverConfig:
     """Numeric knobs for the LP engine.
 
-    ``feasibility_tolerance`` is absolute on constraint residuals.  The
-    anti-cycling identifier is informational; the reference solver always
-    falls back to Bland's rule under degeneracy.
+    ``feasibility_tolerance`` is absolute on constraint residuals;
+    ``max_iterations`` caps the reference solver's pivots per LP.
     """
 
     feasibility_tolerance: float = 1e-9
     max_iterations: int = 50_000
-    anti_cycling: str = "bland"
 
     def __post_init__(self) -> None:
         if self.feasibility_tolerance <= 0:
@@ -76,7 +75,11 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-class IterationLimitError(RuntimeError):
+class SolverError(RuntimeError):
+    """The LP engine stopped without a conclusive status."""
+
+
+class IterationLimitError(SolverError):
     """Pivot budget exhausted before reaching a conclusive status."""
 
 
@@ -297,14 +300,11 @@ class ScipyBackend:
 
     def _call(self, system: LinearSystem, c: np.ndarray) -> LpResult:
         a, b = system.dense()
-        lo, hi = system.bounds()
-        bounds = [(lo[j], None if np.isinf(hi[j]) else hi[j])
-                  for j in range(system.n_variables)]
         res = self._linprog(
             c,
             A_ub=a if a.size else None,
             b_ub=b if a.size else None,
-            bounds=bounds,
+            bounds=np.column_stack(system.bounds()),
             method="highs",
         )
         if res.status == 2:
@@ -312,7 +312,7 @@ class ScipyBackend:
         if res.status == 3:
             return LpResult(LpStatus.UNBOUNDED)
         if res.status != 0:
-            raise RuntimeError(f"linprog failed: {res.message}")
+            raise SolverError(f"linprog failed: {res.message}")
         return LpResult(LpStatus.OPTIMAL, value=float(res.fun), point=np.asarray(res.x))
 
     def solve(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:

@@ -63,6 +63,16 @@ class SolveOutcome:
     iterations: int
     effectively_zero: bool = False
 
+    @classmethod
+    def from_bracket(cls, bracket: tuple[np.ndarray, float, int, bool],
+                     nominal_value: float, extra_checks: int) -> "SolveOutcome":
+        """Outcome of a :func:`bisect_feasibility` result; ``extra_checks``
+        counts feasibility checks done before the bisection."""
+        witness, lam_bar, checks, at_top = bracket
+        return cls(solution=np.asarray(witness, dtype=float), lambda_bar=lam_bar,
+                   degree=1.0 - lam_bar, nominal_value=nominal_value,
+                   iterations=checks + extra_checks, effectively_zero=at_top)
+
 
 @dataclass(frozen=True, eq=False)
 class LightRobustOutcome:
@@ -101,8 +111,8 @@ def bisect_feasibility(probe: Callable[[float], np.ndarray | None], eps: float,
     probed level, that level, the number of probes performed, and whether
     every interior probe failed.
     """
-    if eps <= 0:
-        raise ValueError("accuracy must be positive")
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"accuracy must be a finite positive number, got {eps!r}")
     checks = 0
     if incumbent is None:
         incumbent = probe(1.0)
@@ -138,15 +148,8 @@ def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
             return None
         return system.extract_x(res.point)
 
-    witness, lam_bar, checks, at_top = bisect_feasibility(probe, eps, incumbent)
-    return SolveOutcome(
-        solution=np.asarray(witness, dtype=float),
-        lambda_bar=lam_bar,
-        degree=1.0 - lam_bar,
-        nominal_value=nominal_value,
-        iterations=checks + extra_checks,
-        effectively_zero=at_top,
-    )
+    return SolveOutcome.from_bracket(bisect_feasibility(probe, eps, incumbent),
+                                     nominal_value, extra_checks)
 
 
 def solve_nec(instance: UncertainInstance, rho0: float, eps: float = DEFAULT_EPS,

@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import INSTANCE_DIR, REPO_ROOT
+from possirob import IterationLimitError, cli
 
 TOY4 = str(INSTANCE_DIR / "toy4.json")
 TOY4_SOFT = str(INSTANCE_DIR / "toy4_soft.json")
@@ -138,6 +141,42 @@ class TestExitCodes:
         res = run_cli("nec", "--instance", str(path), "--rho0", "1")
         assert res.returncode == 2
         assert "assumption" in res.stderr.lower()
+
+
+    @pytest.mark.parametrize("args", [
+        ("nec", "--rho0", "nan"), ("nec", "--rho0", "inf"),
+        ("light", "--rho0", "nan"), ("light", "--rho0", "inf"),
+        ("soft-nec", "--rho0", "nan"), ("soft-nec", "--rho0", "inf"),
+        ("soft-nec", "--rho0", "3", "--epsilon", "nan"),
+        ("soft-nec", "--rho0", "3", "--z", "nan"),
+    ])
+    def test_non_finite_numbers_exit_one(self, args):
+        res = run_cli(args[0], "--instance", TOY4, *args[1:])
+        assert res.returncode == 1
+        assert "input error:" in res.stderr
+
+    def test_simulate_zero_bound_exits_one(self, tmp_path):
+        doc = json.loads((INSTANCE_DIR / "toy4.json").read_text())
+        doc["rows"][0]["b"] = 0.0
+        path = tmp_path / "zero_bound.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("simulate", "--instance", str(path), "--model", "nominal")
+        assert res.returncode == 1
+        assert "input error:" in res.stderr
+        assert "aviol" not in res.stdout
+
+    def test_solver_error_exits_three(self, monkeypatch, capsys):
+        class Exhausted:
+            def solve(self, system, config):
+                raise IterationLimitError("simplex exceeded the 1-pivot budget")
+
+            check_feasible = solve
+
+        monkeypatch.setattr(cli, "SimplexBackend", Exhausted)
+        assert cli.main(["nec", "--instance", TOY4, "--rho0", "3"]) == 3
+        captured = capsys.readouterr()
+        assert "solver error: simplex exceeded" in captured.err
+        assert captured.out == ""
 
 
 class TestReproducibility:

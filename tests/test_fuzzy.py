@@ -162,6 +162,13 @@ class TestFuzzyGoal:
         assert goal.rhs_at(0.0) == -10.0
         assert goal.relaxation(0.3) == 0.0
 
+    @pytest.mark.parametrize("args", [(math.nan, 3.0), (-10.0, math.nan),
+                                      (-10.0, math.inf), (None, 3.0, math.nan),
+                                      (math.inf, 3.0)])
+    def test_non_finite_parameters_rejected(self, args):
+        with pytest.raises(ValueError):
+            FuzzyGoal(*args)
+
 
 class TestMonotoneShapes:
     GRID = np.linspace(0.0, 1.0, 1000)

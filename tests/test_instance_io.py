@@ -26,7 +26,7 @@ class TestParse:
         assert inst.n == 2 and inst.m == 1
         assert inst.objective == (-1.0, -2.0)
         assert inst.rows[0].protection == 1
-        assert inst.rows[0].coefficients[0].shape == 2.0
+        assert inst.rows[0].shape[0] == 2.0
         assert isinstance(inst.feasible_set, Box)
 
     def test_uncertain_objective_document(self):
@@ -54,7 +54,7 @@ class TestParse:
         doc["z"] = 3.0
         del doc["rows"][0]["z"]
         inst = parse_instance(doc)
-        assert inst.rows[0].coefficients[0].shape == 3.0
+        assert inst.rows[0].shape[0] == 3.0
 
     @pytest.mark.parametrize("mutate,path", [
         (lambda d: d.pop("n"), "n"),

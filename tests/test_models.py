@@ -3,6 +3,8 @@ and the four-variable worked example."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from possirob import (Box, FuzzyGoal, FuzzyInterval, LinearSystem, LpStatus,
                       Polyhedron, SoftBound, UncertainInstance,
@@ -129,7 +131,7 @@ class TestBuildRobust:
             inst = random_instance(rng, int(rng.integers(1, 6)), int(rng.integers(1, 4)))
             stripped = UncertainInstance(
                 objective=inst.objective,
-                rows=tuple(UncertainRow(r.coefficients, r.rhs, 0) for r in inst.rows),
+                rows=tuple(UncertainRow(r.a_hat, r.a_bar, r.shape, 0, r.rhs) for r in inst.rows),
                 feasible_set=inst.feasible_set)
             robust = solve(build_robust(stripped))
             nominal = solve(build_nominal(stripped))
@@ -145,7 +147,7 @@ class TestBuildRobust:
             lam = float(rng.choice([0.0, 0.4]))
             full = UncertainInstance(
                 objective=inst.objective,
-                rows=tuple(UncertainRow(r.coefficients, r.rhs, n) for r in inst.rows),
+                rows=tuple(UncertainRow(r.a_hat, r.a_bar, r.shape, n, r.rhs) for r in inst.rows),
                 feasible_set=inst.feasible_set)
             robust = solve(build_robust(full, lam))
             # every coefficient at its cut upper endpoint
@@ -330,8 +332,7 @@ class TestMixedShapes:
     # A fast-decaying wide interval against a slow-decaying narrow one: the
     # dominant deviation swaps as the level grows, so no single linear closed
     # form for the degree applies.
-    COEFFS = (FuzzyInterval(1.0, 6.0, 0.3), FuzzyInterval(2.0, 3.0, 4.0))
-    ROW = UncertainRow(COEFFS, SoftBound(5.0), 1)
+    ROW = UncertainRow((1.0, 2.0), (6.0, 3.0), (0.3, 4.0), 1, SoftBound(5.0))
 
     def test_top_set_really_changes_with_the_level(self):
         x = np.array([1.0, 1.0])
@@ -347,6 +348,37 @@ class TestMixedShapes:
         lam_star = grid[int(np.argmax(feasible))]
         assert 0.0 < lam_star < 1.0
         assert degree == pytest.approx(1.0 - lam_star, abs=1e-5)
+
+
+@st.composite
+def mixed_shape_rows(draw):
+    n = draw(st.integers(1, 8))
+
+    def vector(lo, hi, **kw):
+        return draw(st.lists(st.floats(lo, hi, **kw), min_size=n, max_size=n))
+
+    shape = draw(st.lists(st.sampled_from((0.3, 0.5, 1.0, 2.0, 4.0)),
+                          min_size=n, max_size=n))
+    return UncertainRow(vector(-50.0, 50.0), vector(0.0, 50.0), shape,
+                        draw(st.integers(0, n)), SoftBound(1.0)), vector(0.0, 1.0)
+
+
+class TestCutWidthsAgainstIntervals:
+    """The array-backed row reproduces per-coefficient interval arithmetic
+    bit for bit, including rows that mix shapes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_shape_rows(), st.floats(0.0, 1.0))
+    def test_half_widths_and_worst_case_are_exact(self, row_and_x, lam):
+        row, x = row_and_x
+        intervals = [FuzzyInterval(h, d, z)
+                     for h, d, z in zip(row.a_hat, row.a_bar, row.shape)]
+        widths = np.array([fi.alpha_at(lam) for fi in intervals])
+        assert row.half_widths(lam).tolist() == widths.tolist()
+        xv = np.array(x)
+        nominal = np.array([fi.nominal for fi in intervals])
+        expected = float(np.dot(nominal, xv)) + top_sum(widths * xv, row.protection)
+        assert worst_case_lhs(row, xv, lam) == expected
 
 
 class TestPolyhedralFeasibleSet:
@@ -414,7 +446,7 @@ class TestObjectiveSlack:
 class TestValidation:
     def test_fractional_protection_rejected(self):
         with pytest.raises(ValueError):
-            UncertainRow((FuzzyInterval(1.0, 0.5),), SoftBound(1.0), 0.5)
+            UncertainRow((1.0,), (0.5,), (1.0,), 0.5, SoftBound(1.0))
 
     def test_protection_range(self):
         with pytest.raises(ValueError):
@@ -433,4 +465,4 @@ class TestValidation:
 
     def test_objective_slack_anchored_at_zero(self):
         with pytest.raises(ValueError):
-            UncertainObjective((FuzzyInterval(1.0, 0.0),), 0, SoftBound(1.0, 1.0))
+            UncertainObjective((1.0,), (0.0,), (1.0,), 0, SoftBound(1.0, 1.0))

@@ -75,6 +75,11 @@ class TestBisect:
         with pytest.raises(ValueError):
             bisect(step_builder(0.5), 0.0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_accuracy_must_be_finite(self, eps):
+        with pytest.raises(ValueError):
+            bisect(step_builder(0.5), eps)
+
 
 class TestSolveNec:
     def test_published_band(self, toy4):
@@ -183,6 +188,11 @@ class TestLightRobust:
     def test_large_budget_reaches_zero_slack(self, toy4):
         out = solve_light_robust(toy4, rho0=10.0)
         assert out.value == pytest.approx(0.0, abs=1e-7)
+
+    @pytest.mark.parametrize("rho0", [float("nan"), float("inf")])
+    def test_non_finite_budget_rejected(self, toy4, rho0):
+        with pytest.raises(ValueError):
+            solve_light_robust(toy4, rho0)
 
     def test_zero_budget_pays_the_full_overshoot(self, toy4):
         out = solve_light_robust(toy4, rho0=0.0)
