@@ -17,7 +17,7 @@ spanning tree, or any user-supplied solver).  A Monte Carlo lab generates
 random instances and scores solutions on possibility-guided scenario samples.
 """
 
-from .fuzzy import FuzzyGoal, FuzzyInterval, SoftBound, joint_possibility
+from .fuzzy import FuzzyGoal, FuzzyInterval, SoftBound
 from .linsys import LinearSystem
 from .simplex import (IterationLimitError, LpBackend, LpResult, LpStatus,
                       ScipyBackend, SimplexBackend, SolverConfig, SolverError,
@@ -27,9 +27,10 @@ from .models import (Box, FeasibleSet, Polyhedron, UncertainInstance,
                      build_nec, build_nominal, build_robust, build_soft_nec,
                      build_soft_nec_obj, dualize_budgeted_row,
                      necessity_degree, top_sum, worst_case_lhs)
-from .solver import (AssumptionViolation, LightRobustOutcome, SolveOutcome,
-                    bisect, bisect_feasibility, nominal_optimum, solve_light_robust,
-                    solve_nec, solve_soft_nec, solve_soft_nec_obj)
+from .solver import (AssumptionViolation, ModelInfeasible, OptimumOutcome,
+                    SolveOutcome, bisect, bisect_feasibility, nominal_optimum,
+                    solve_light_robust, solve_nec, solve_robust, solve_soft_nec,
+                    solve_soft_nec_obj)
 from .combinatorial import (CombinatorialOracle, EdgeListGraph,
                             ExplicitSetOracle, ShortestPathOracle,
                             SpanningTreeOracle, brute_force_minmax, load_graph,
@@ -46,7 +47,7 @@ from .instance_io import (InstanceFormatError, load_instance, parse_instance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FuzzyInterval", "SoftBound", "FuzzyGoal", "joint_possibility",
+    "FuzzyInterval", "SoftBound", "FuzzyGoal",
     "LinearSystem",
     "LpStatus", "LpResult", "SolverConfig", "SolverError", "IterationLimitError",
     "LpBackend", "SimplexBackend", "ScipyBackend", "solve", "check_feasible",
@@ -54,9 +55,9 @@ __all__ = [
     "UncertainInstance", "top_sum", "worst_case_lhs", "necessity_degree",
     "dualize_budgeted_row", "build_nominal", "build_robust",
     "build_light_robust", "build_nec", "build_soft_nec", "build_soft_nec_obj",
-    "AssumptionViolation", "SolveOutcome", "LightRobustOutcome",
-    "nominal_optimum", "bisect", "bisect_feasibility", "solve_nec",
-    "solve_soft_nec", "solve_soft_nec_obj", "solve_light_robust",
+    "AssumptionViolation", "ModelInfeasible", "SolveOutcome", "OptimumOutcome",
+    "nominal_optimum", "bisect", "bisect_feasibility", "solve_robust",
+    "solve_light_robust", "solve_nec", "solve_soft_nec", "solve_soft_nec_obj",
     "CombinatorialOracle", "ExplicitSetOracle",
     "ShortestPathOracle", "SpanningTreeOracle", "EdgeListGraph",
     "parse_graph", "load_graph", "worst_budgeted_cost", "minmax_budgeted",

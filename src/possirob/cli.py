@@ -26,12 +26,11 @@ from .experiment import (DESK_SCALE, FULL_SCALE, GeneratorSpec, _price,
                          violation_metrics)
 from .fuzzy import FuzzyGoal
 from .instance_io import InstanceFormatError, load_instance, serialize_instance
-from .models import UncertainInstance, build_robust
-from .simplex import (LpStatus, ScipyBackend, SimplexBackend, SolverError,
-                      solve as lp_solve)
-from .solver import (AssumptionViolation, SolveOutcome, nominal_optimum,
-                    solve_light_robust, solve_nec, solve_soft_nec,
-                    solve_soft_nec_obj)
+from .models import UncertainInstance
+from .simplex import ScipyBackend, SimplexBackend, SolverError
+from .solver import (AssumptionViolation, ModelInfeasible, SolveOutcome,
+                    nominal_optimum, solve_light_robust, solve_nec, solve_robust,
+                    solve_soft_nec, solve_soft_nec_obj)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -79,7 +78,8 @@ def _backend(args: argparse.Namespace):
 
 
 def _degree_doc(model: str, out: SolveOutcome, eps: float,
-                cost: float) -> dict[str, Any]:
+                costs: np.ndarray) -> dict[str, Any]:
+    cost = float(np.dot(costs, out.solution))
     doc: dict[str, Any] = {
         "model": model,
         "status": "optimal",
@@ -97,121 +97,83 @@ def _degree_doc(model: str, out: SolveOutcome, eps: float,
     return doc
 
 
+# -- the LP models: (args, instance, backend) -> result document ----------
+
+
+def _nominal(args: argparse.Namespace, inst: UncertainInstance, backend) -> dict:
+    c_hat, x_hat = nominal_optimum(inst, backend=backend)
+    return {"model": "nominal", "status": "optimal", "objective": c_hat,
+            "nominal_value": c_hat, "d": 0.0, "solution": x_hat}
+
+
+def _robust(args: argparse.Namespace, inst: UncertainInstance, backend) -> dict:
+    out = solve_robust(inst, args.lam, backend=backend)
+    return {"model": "robust", "status": "optimal", "objective": out.value,
+            "nominal_value": out.nominal_value,
+            "d": _price(out.value, out.nominal_value), "solution": out.solution}
+
+
+def _light(args: argparse.Namespace, inst: UncertainInstance, backend) -> dict:
+    out = solve_light_robust(inst, args.rho0, args.norm, backend=backend)
+    cost = float(np.dot(inst.cost_nominal(), out.solution))
+    return {"model": "light", "status": "optimal", "objective": out.value,
+            "norm": args.norm, "nominal_value": out.nominal_value,
+            "cost": cost, "d": _price(cost, out.nominal_value),
+            "solution": out.solution}
+
+
+def _nec(args: argparse.Namespace, inst: UncertainInstance, backend) -> dict:
+    out = solve_nec(inst, args.rho0, args.epsilon, backend=backend)
+    return _degree_doc("nec", out, args.epsilon, inst.cost_nominal())
+
+
+def _soft_nec(args: argparse.Namespace, inst: UncertainInstance, backend) -> dict:
+    out = solve_soft_nec(inst, args.rho0, args.z, args.nominal_feasible,
+                         args.epsilon, backend=backend)
+    return _degree_doc("soft-nec", out, args.epsilon, inst.cost_nominal())
+
+
+def _soft_nec_obj(args: argparse.Namespace, inst: UncertainInstance, backend) -> dict:
+    if not inst.has_uncertain_objective:
+        raise ValueError("soft-nec-obj: the instance must define an uncertain "
+                         "objective (object form of 'c')")
+    obj = inst.objective
+    shape = args.z if args.z is not None else obj.goal.shape
+    inst = replace(inst, objective=replace(obj, goal=FuzzyGoal(None, args.rho0, shape)))
+    out = solve_soft_nec_obj(inst, args.epsilon, args.nominal_feasible,
+                             backend=backend)
+    return _degree_doc("soft-nec-obj", out, args.epsilon, inst.cost_nominal())
+
+
+_MODELS = {"nominal": _nominal, "robust": _robust, "light": _light, "nec": _nec,
+           "soft-nec": _soft_nec, "soft-nec-obj": _soft_nec_obj}
+
+
 # -- command handlers ----------------------------------------------------
 
 
-def _cmd_nominal(args: argparse.Namespace) -> int:
+def _cmd_model(args: argparse.Namespace) -> int:
+    """Solve one model of ``_MODELS``; ``simulate`` then scores its solution."""
+    simulate = args.command == "simulate"
+    name = args.model if simulate else args.command
     inst = load_instance(args.instance)
-    c_hat, x_hat = nominal_optimum(inst, backend=_backend(args))
-    _emit({"model": "nominal", "status": "optimal", "objective": c_hat,
-           "nominal_value": c_hat, "d": 0.0, "solution": x_hat}, args.out)
-    return EXIT_OK
-
-
-def _cmd_robust(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    backend = _backend(args)
-    c_hat, _ = nominal_optimum(inst, backend=backend)
-    system = build_robust(inst, args.lam)
-    res = lp_solve(system, backend=backend)
-    if res.status is not LpStatus.OPTIMAL:
-        _emit({"model": "robust", "status": res.status.value}, args.out)
+    try:
+        doc = _MODELS[name](args, inst, _backend(args))
+    except ModelInfeasible as exc:
+        head = {"model": "simulate", "solved": name} if simulate else {"model": name}
+        _emit({**head, "status": exc.status.value}, args.out)
         return EXIT_INFEASIBLE
-    x = system.extract_x(res.point)
-    _emit({"model": "robust", "status": "optimal", "objective": res.value,
-           "nominal_value": c_hat, "d": _price(res.value, c_hat),
-           "solution": x}, args.out)
+    _emit(_score(args, inst, doc) if simulate else doc, args.out)
     return EXIT_OK
 
 
-def _cmd_light(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    out = solve_light_robust(inst, args.rho0, args.norm, backend=_backend(args))
-    cost = float(np.dot(inst.cost_nominal(), out.solution))
-    _emit({"model": "light", "status": "optimal", "objective": out.value,
-           "norm": args.norm, "nominal_value": out.nominal_value,
-           "cost": cost, "d": _price(cost, out.nominal_value),
-           "solution": out.solution}, args.out)
-    return EXIT_OK
-
-
-def _cmd_nec(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    out = solve_nec(inst, args.rho0, args.epsilon, backend=_backend(args))
-    cost = float(np.dot(inst.cost_nominal(), out.solution))
-    _emit(_degree_doc("nec", out, args.epsilon, cost), args.out)
-    return EXIT_OK
-
-
-def _cmd_soft_nec(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    out = solve_soft_nec(inst, args.rho0, args.z, args.nominal_feasible,
-                         args.epsilon, backend=_backend(args))
-    cost = float(np.dot(inst.cost_nominal(), out.solution))
-    _emit(_degree_doc("soft-nec", out, args.epsilon, cost), args.out)
-    return EXIT_OK
-
-
-def _cmd_soft_nec_obj(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    if not inst.has_uncertain_objective:
-        print("soft-nec-obj: the instance must define an uncertain objective "
-              "(object form of 'c')", file=sys.stderr)
-        return EXIT_INPUT
-    obj = inst.objective
-    shape = args.z if args.z is not None else obj.goal.shape
-    goal = FuzzyGoal(None, args.rho0, shape)
-    inst = UncertainInstance(objective=replace(obj, goal=goal), rows=inst.rows,
-                             feasible_set=inst.feasible_set)
-    out = solve_soft_nec_obj(inst, args.epsilon, args.nominal_feasible,
-                             backend=_backend(args))
-    cost = float(np.dot(inst.cost_nominal(), out.solution))
-    _emit(_degree_doc("soft-nec-obj", out, args.epsilon, cost), args.out)
-    return EXIT_OK
-
-
-def _cmd_combi(args: argparse.Namespace) -> int:
-    graph = load_graph(args.graph)
-    oracle = (ShortestPathOracle(graph) if args.oracle == "sp"
-              else SpanningTreeOracle(graph))
-    row = graph.cost_row(args.gamma0, args.rho0, args.b0_bar, args.z)
-    out = solve_soft_nec_combinatorial(row, oracle, args.epsilon)
-    cost = float(np.dot(row.nominal(), out.solution))
-    doc = _degree_doc("combi", out, args.epsilon, cost)
-    doc["oracle"] = args.oracle
-    doc["edges"] = [int(e) for e in np.flatnonzero(out.solution > 0.5)]
-    _emit(doc, args.out)
-    return EXIT_OK
-
-
-_SIMULATE_MODELS = ("nominal", "robust", "light", "nec", "soft-nec")
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    backend = _backend(args)
-    c_hat, x_hat = nominal_optimum(inst, backend=backend)
-    if args.model == "nominal":
-        x = x_hat
-    elif args.model == "robust":
-        system = build_robust(inst, 0.0)
-        res = lp_solve(system, backend=backend)
-        if res.status is not LpStatus.OPTIMAL:
-            _emit({"model": "simulate", "solved": "robust",
-                   "status": res.status.value}, args.out)
-            return EXIT_INFEASIBLE
-        x = system.extract_x(res.point)
-    elif args.model == "light":
-        x = solve_light_robust(inst, args.rho0, args.norm, backend=backend).solution
-    elif args.model == "nec":
-        x = solve_nec(inst, args.rho0, args.epsilon, backend=backend).solution
-    else:
-        x = solve_soft_nec(inst, args.rho0, args.z, args.nominal_feasible,
-                           args.epsilon, backend=backend).solution
+def _score(args: argparse.Namespace, inst: UncertainInstance,
+           solved: dict[str, Any]) -> dict[str, Any]:
+    x, c_hat = solved["solution"], solved["nominal_value"]
     scen = sample_scenarios(inst, stream(args.seed, 1, 0), args.scenarios)
     infeas, aviol = violation_metrics(x, scen, inst)
     cost = float(np.dot(inst.cost_nominal(), x))
-    _emit({
+    return {
         "model": "simulate",
         "solved": args.model,
         "status": "ok",
@@ -223,7 +185,19 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         "infeas": infeas,
         "aviol": aviol,
         "solution": x,
-    }, args.out)
+    }
+
+
+def _cmd_combi(args: argparse.Namespace) -> int:
+    graph = load_graph(args.graph)
+    oracle = (ShortestPathOracle(graph) if args.oracle == "sp"
+              else SpanningTreeOracle(graph))
+    row = graph.cost_row(args.gamma0, args.rho0, args.b0_bar, args.z)
+    out = solve_soft_nec_combinatorial(row, oracle, args.epsilon)
+    doc = _degree_doc("combi", out, args.epsilon, row.nominal())
+    doc["oracle"] = args.oracle
+    doc["edges"] = [int(e) for e in np.flatnonzero(out.solution > 0.5)]
+    _emit(doc, args.out)
     return EXIT_OK
 
 
@@ -277,24 +251,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("nominal", parents=[], help="solve the nominal counterpart")
     _add_common(p)
-    p.set_defaults(func=_cmd_nominal)
+    p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("robust", help="budget-protected worst-case model")
     _add_common(p)
     p.add_argument("--lam", type=float, default=0.0,
                    help="confidence level of the cuts (default 0: full supports)")
-    p.set_defaults(func=_cmd_robust)
+    p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("light", help="slack-minimizing model under a cost budget")
     _add_common(p)
     p.add_argument("--rho0", type=float, default=0.0, help="cost budget above nominal")
     p.add_argument("--norm", choices=("max", "sum"), default="max")
-    p.set_defaults(func=_cmd_light)
+    p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("nec", help="maximize the strict protection degree")
     _add_common(p)
     p.add_argument("--rho0", type=float, default=0.0)
-    p.set_defaults(func=_cmd_nec)
+    p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("soft-nec", help="maximize the soft protection degree")
     _add_common(p)
@@ -302,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, default=1.0, help="goal shape (default 1)")
     p.add_argument("--nominal-feasible", action="store_true",
                    help="additionally require feasibility under nominal data")
-    p.set_defaults(func=_cmd_soft_nec)
+    p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("soft-nec-obj",
                             help="soft degree with an uncertain objective")
@@ -311,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, default=None,
                    help="goal shape (default: the objective's document shape)")
     p.add_argument("--nominal-feasible", action="store_true")
-    p.set_defaults(func=_cmd_soft_nec_obj)
+    p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("combi", help="budgeted min-max cost over a graph")
     _add_common(p, instance=False)
@@ -327,14 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("simulate",
                             help="solve one model, then score it on sampled scenarios")
     _add_common(p)
-    p.add_argument("--model", choices=_SIMULATE_MODELS, default="soft-nec")
+    p.add_argument("--model", choices=[m for m in _MODELS if m != "soft-nec-obj"],
+                   default="soft-nec")
     p.add_argument("--rho0", type=float, default=0.0)
     p.add_argument("--z", type=float, default=1.0)
     p.add_argument("--norm", choices=("max", "sum"), default="max")
     p.add_argument("--nominal-feasible", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scenarios", type=int, default=1000)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_model, lam=0.0)
 
     p = commands.add_parser("experiment", help="budget sweep over random instances")
     _add_common(p, instance=False)

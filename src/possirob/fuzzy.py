@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 __all__ = [
     "FuzzyInterval",
     "SoftBound",
     "FuzzyGoal",
-    "joint_possibility",
 ]
 
 
@@ -63,30 +61,6 @@ class FuzzyInterval:
         _check_level(lam)
         return self.deviation * (1.0 - lam ** self.shape)
 
-    def lambda_cut(self, lam: float) -> tuple[float, float]:
-        """Closed interval of values whose possibility is at least ``lam``."""
-        half = self.alpha_at(lam)
-        return (self.nominal - half, self.nominal + half)
-
-    def membership(self, value: float) -> float:
-        """Possibility degree of ``value``: 1 at the nominal, 0 outside the support.
-
-        Inverts the cut family, so the endpoints of the level-``lam`` cut map
-        back to ``lam``.  Support endpoints map to 0 for every shape (the
-        limiting value).
-        """
-        dist = abs(value - self.nominal)
-        if self.deviation == 0.0:
-            return 1.0 if dist == 0.0 else 0.0
-        if dist >= self.deviation:
-            return 0.0
-        ratio = (self.deviation - dist) / self.deviation
-        return min(1.0, ratio ** (1.0 / self.shape))
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.nominal - self.deviation, self.nominal + self.deviation)
-
 
 @dataclass(frozen=True)
 class SoftBound:
@@ -118,10 +92,6 @@ class SoftBound:
         if self.shape == 0.0:
             return self.base
         return self.base + self.slack * (1.0 - level ** self.shape)
-
-    @property
-    def is_crisp(self) -> bool:
-        return self.slack == 0.0 or self.shape == 0.0
 
 
 @dataclass(frozen=True)
@@ -160,21 +130,3 @@ class FuzzyGoal:
         if self.nominal_optimum is None:
             raise ValueError("goal anchor is unset; solve the reference problem first")
         return self.nominal_optimum + self.relaxation(level)
-
-
-def joint_possibility(row: Sequence[FuzzyInterval], scenario: Sequence[float]) -> float:
-    """Possibility that ``scenario`` realizes the row of fuzzy coefficients.
-
-    The joint degree is the minimum of the per-coefficient memberships, so it
-    equals 1 only when every coordinate sits at full plausibility.
-    """
-    if len(row) != len(scenario):
-        raise ValueError(
-            f"scenario length {len(scenario)} does not match row length {len(row)}"
-        )
-    degree = 1.0
-    for fi, value in zip(row, scenario):
-        degree = min(degree, fi.membership(float(value)))
-        if degree == 0.0:
-            break
-    return degree

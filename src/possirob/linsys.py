@@ -95,21 +95,14 @@ class LinearSystem:
     def objective_value(self, point: np.ndarray) -> float:
         return float(np.dot(self.objective_vector(), point))
 
-    def residuals(self, point: np.ndarray) -> np.ndarray:
-        """Constraint violations ``A v - b`` (positive entries are violations)."""
-        a, b = self.dense()
-        if len(b) == 0:
-            return np.zeros(0)
-        return a @ np.asarray(point, dtype=float) - b
-
     def is_feasible(self, point: np.ndarray, tol: float) -> bool:
         """Check ``point`` against rows and bounds with absolute tolerance ``tol``."""
         v = np.asarray(point, dtype=float)
         lo, hi = self.bounds()
         if np.any(v < lo - tol) or np.any(v > hi + tol):
             return False
-        res = self.residuals(v)
-        return bool(res.size == 0 or res.max() <= tol)
+        a, b = self.dense()
+        return bool(b.size == 0 or (a @ v - b).max() <= tol)
 
     def scaled_violation(self, point: np.ndarray) -> float:
         """Largest violation with each row scaled by ``1 + |rhs|`` (bounds by

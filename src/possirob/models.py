@@ -131,10 +131,6 @@ class UncertainObjective(_FuzzyRow):
                    SoftBound(0.0, float(slack_bar), shape),
                    goal if goal is not None else FuzzyGoal(None, 0.0, shape))
 
-    @property
-    def is_crisp(self) -> bool:
-        return not any(self.a_bar) and self.slack.slack == 0.0
-
     def budget(self, c_hat: float, lam: float) -> float:
         """Largest acceptable worst-case cost at level ``lam`` when the goal
         is anchored at the nominal optimum ``c_hat``."""

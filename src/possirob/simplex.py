@@ -134,7 +134,9 @@ def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
         if not eligible.any():
             return "unbounded", used
         ratios = np.full(m, np.inf)
-        ratios[eligible] = t[:m, -1][eligible] / column[eligible]
+        # Round-off can leave basic values slightly below zero; clamped, such
+        # a row ties at ratio 0 instead of winning with a negative ratio.
+        ratios[eligible] = np.maximum(t[:m, -1][eligible], 0.0) / column[eligible]
         best = ratios.min()
         ties = np.flatnonzero(ratios <= best + 1e-9 * (1.0 + abs(best)))
         if ties.size > 1:
@@ -300,13 +302,13 @@ class ScipyBackend:
 
     def _call(self, system: LinearSystem, c: np.ndarray) -> LpResult:
         a, b = system.dense()
-        res = self._linprog(
-            c,
-            A_ub=a if a.size else None,
-            b_ub=b if a.size else None,
-            bounds=np.column_stack(system.bounds()),
-            method="highs",
-        )
+        problem = {"A_ub": a if a.size else None, "b_ub": b if a.size else None,
+                   "bounds": np.column_stack(system.bounds())}
+        res = self._linprog(c, **problem, method="highs")
+        if res.status == 4:
+            # HiGHS can end with model status Unknown on a probe right at a
+            # feasibility threshold; its interior-point method settles those.
+            res = self._linprog(c, **problem, method="highs-ipm")
         if res.status == 2:
             return LpResult(LpStatus.INFEASIBLE)
         if res.status == 3:

@@ -19,21 +19,23 @@ import numpy as np
 from .fuzzy import FuzzyGoal
 from .linsys import LinearSystem
 from .models import (UncertainInstance, UncertainObjective, build_light_robust,
-                     build_nec, build_nominal, build_soft_nec,
+                     build_nec, build_nominal, build_robust, build_soft_nec,
                      build_soft_nec_obj)
 from .simplex import (DEFAULT_CONFIG, LpBackend, LpStatus, SolverConfig,
                       check_feasible, solve)
 
 __all__ = [
     "AssumptionViolation",
+    "ModelInfeasible",
     "SolveOutcome",
-    "LightRobustOutcome",
+    "OptimumOutcome",
     "nominal_optimum",
     "bisect",
     "bisect_feasibility",
     "solve_nec",
     "solve_soft_nec",
     "solve_soft_nec_obj",
+    "solve_robust",
     "solve_light_robust",
 ]
 
@@ -43,6 +45,14 @@ DEFAULT_EPS = 1e-4
 class AssumptionViolation(RuntimeError):
     """The instance breaks the standing assumption: its nominal counterpart
     must be feasible and bounded over the (bounded) feasible set."""
+
+
+class ModelInfeasible(RuntimeError):
+    """A model's LP ended without an optimum; ``status`` says how."""
+
+    def __init__(self, status: LpStatus) -> None:
+        super().__init__(f"model is {status.value}")
+        self.status = status
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +85,8 @@ class SolveOutcome:
 
 
 @dataclass(frozen=True, eq=False)
-class LightRobustOutcome:
-    """Result of a slack-minimizing solve: the slack norm and its solution."""
+class OptimumOutcome:
+    """Result of a single-LP model: its optimal value and solution."""
 
     value: float
     solution: np.ndarray
@@ -189,18 +199,38 @@ def solve_soft_nec_obj(instance: UncertainInstance, eps: float = DEFAULT_EPS,
                   config=config, backend=backend)
 
 
+def _optimum(instance: UncertainInstance, builder: Callable[[float], LinearSystem],
+             config: SolverConfig | None,
+             backend: LpBackend | None) -> OptimumOutcome:
+    # ``builder`` receives the nominal optimum, which anchors cost budgets.
+    c_hat, _ = nominal_optimum(instance, config, backend)
+    system = builder(c_hat)
+    res = solve(system, config, backend)
+    if res.status is not LpStatus.OPTIMAL:
+        raise ModelInfeasible(res.status)
+    return OptimumOutcome(value=float(res.value),
+                          solution=system.extract_x(res.point), nominal_value=c_hat)
+
+
+def solve_robust(instance: UncertainInstance, lam: float = 0.0,
+                 config: SolverConfig | None = None,
+                 backend: LpBackend | None = None) -> OptimumOutcome:
+    """Cheapest solution protected against every budgeted deviation inside
+    the level-``lam`` cuts (full supports at 0)."""
+    return _optimum(instance, lambda _c_hat: build_robust(instance, lam),
+                    config, backend)
+
+
 def solve_light_robust(instance: UncertainInstance, rho0: float,
                        norm: str = "max",
                        config: SolverConfig | None = None,
-                       backend: LpBackend | None = None) -> LightRobustOutcome:
+                       backend: LpBackend | None = None) -> OptimumOutcome:
     """Minimize the protection-slack norm subject to the cost budget."""
-    c_hat, _ = nominal_optimum(instance, config, backend)
-    system = build_light_robust(instance, c_hat, rho0, norm)
-    res = solve(system, config, backend)
-    if res.status is not LpStatus.OPTIMAL:
+    try:
+        return _optimum(instance,
+                        lambda c_hat: build_light_robust(instance, c_hat, rho0, norm),
+                        config, backend)
+    except ModelInfeasible as exc:
         raise AssumptionViolation(
-            f"light robust model is {res.status.value} although the nominal "
-            "counterpart was solvable")
-    return LightRobustOutcome(value=float(res.value),
-                              solution=system.extract_x(res.point),
-                              nominal_value=c_hat)
+            f"light robust model is {exc.status.value} although the nominal "
+            "counterpart was solvable") from None

@@ -65,6 +65,7 @@ class TestCommands:
     def test_soft_nec_obj_requires_uncertain_objective(self):
         res = run_cli("soft-nec-obj", "--instance", TOY4, "--rho0", "3")
         assert res.returncode == 1
+        assert "input error: soft-nec-obj" in res.stderr
 
     def test_combi_shortest_path(self):
         res = run_cli("combi", "--graph", TWO_PATH, "--oracle", "sp",
@@ -121,16 +122,26 @@ class TestExitCodes:
         res = run_cli("nominal", "--instance", "no_such_file.json")
         assert res.returncode == 1
 
-    def test_infeasible_robust_exits_two(self, tmp_path):
+    @staticmethod
+    def tight_instance(tmp_path) -> str:
         # full protection cannot fit under the bound: 2x with x in [1, 1]
         doc = {"n": 1, "m": 1, "c": [-1.0],
                "rows": [{"a_hat": [2.0], "a_bar": [3.0], "b": 2.0, "gamma": 1}],
                "x_set": {"box": {"lb": 1, "ub": 1}}}
         path = tmp_path / "tight.json"
         path.write_text(json.dumps(doc))
-        res = run_cli("robust", "--instance", str(path))
+        return str(path)
+
+    def test_infeasible_robust_exits_two(self, tmp_path):
+        res = run_cli("robust", "--instance", self.tight_instance(tmp_path))
         assert res.returncode == 2
         assert parse_doc(res.stdout)["status"] == "infeasible"
+
+    def test_simulate_infeasible_robust_exits_two(self, tmp_path):
+        res = run_cli("simulate", "--instance", self.tight_instance(tmp_path),
+                      "--model", "robust")
+        assert res.returncode == 2
+        assert res.stdout == "model: simulate\nsolved: robust\nstatus: infeasible\n"
 
     def test_assumption_violation_exits_two(self, tmp_path):
         doc = {"n": 1, "m": 1, "c": [-1.0],

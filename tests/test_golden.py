@@ -41,6 +41,8 @@ CASES = {
                        "--rho0", "1", "--scenarios", "300", "--seed", "2"),
     "simulate_robust": ("simulate", "--instance", TOY4, "--model", "robust",
                         "--scenarios", "100", "--seed", "1"),
+    "simulate_nominal": ("simulate", "--instance", TOY4, "--model", "nominal"),
+    "simulate_nec": ("simulate", "--instance", TOY4, "--model", "nec", "--rho0", "3"),
     "combi_sp": ("combi", "--graph", TWO_PATH, "--oracle", "sp",
                  "--gamma0", "1", "--rho0", "1"),
     "combi_mst": ("combi", "--graph", TWO_PATH, "--oracle", "mst",

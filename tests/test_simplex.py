@@ -2,12 +2,14 @@
 vertex-enumeration oracle on small systems."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from possirob import (IterationLimitError, LinearSystem, LpStatus, ScipyBackend,
-                      SimplexBackend, SolverConfig, check_feasible, solve)
+                      SimplexBackend, SolverConfig, SolverError, check_feasible,
+                      solve)
 
 
 def tiny_lp():
@@ -177,3 +179,33 @@ class TestScipyBackendParity:
             assert ra.status == rb.status, f"trial {trial}"
             if ra.status is LpStatus.OPTIMAL:
                 assert ra.value == pytest.approx(rb.value, abs=1e-7)
+
+
+class TestScipyUnknownStatus:
+    """HiGHS status 4 (model status Unknown) is retried once with the
+    interior-point method; a second inconclusive answer is a solver error."""
+
+    @staticmethod
+    def backend_answering(statuses):
+        pytest.importorskip("scipy")
+        backend = ScipyBackend()
+        methods = []
+
+        def fake_linprog(c, *, method, **problem):
+            methods.append(method)
+            return SimpleNamespace(status=statuses[len(methods) - 1],
+                                   message="fake status", fun=None, x=None)
+
+        backend._linprog = fake_linprog
+        return backend, methods
+
+    def test_retry_settles_an_unknown_status(self):
+        backend, methods = self.backend_answering([4, 2])
+        assert backend.check_feasible(tiny_lp()).status is LpStatus.INFEASIBLE
+        assert methods == ["highs", "highs-ipm"]
+
+    def test_unknown_twice_raises(self):
+        backend, methods = self.backend_answering([4, 4])
+        with pytest.raises(SolverError):
+            backend.check_feasible(tiny_lp())
+        assert methods == ["highs", "highs-ipm"]

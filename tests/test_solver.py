@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
-from possirob import (AssumptionViolation, Box, FuzzyGoal, LinearSystem,
-                      UncertainInstance, UncertainRow, bisect,
-                      build_soft_nec, check_feasible, nominal_optimum,
-                      solve_light_robust, solve_nec, solve_soft_nec,
-                      solve_soft_nec_obj, worst_case_lhs)
+from possirob import (AssumptionViolation, Box, FuzzyGoal, GeneratorSpec,
+                      LinearSystem, LpStatus, ModelInfeasible, ScipyBackend,
+                      SimplexBackend, UncertainInstance, UncertainRow, bisect,
+                      build_soft_nec, check_feasible, generate_instance,
+                      nominal_optimum, solve_light_robust, solve_nec,
+                      solve_robust, solve_soft_nec, solve_soft_nec_obj,
+                      worst_case_lhs)
 from possirob.solver import probe_count_bound
 from conftest import random_instance
 
@@ -199,3 +201,33 @@ class TestLightRobust:
         overshoot = worst_case_lhs(toy4.rows[0], [1, 1, 1, 1], 0.0) - 6.0
         assert out.value == pytest.approx(overshoot, abs=1e-7)
         assert out.nominal_value == pytest.approx(-10.0, abs=1e-6)
+
+    def test_reference_engine_matches_highs_on_a_round_off_prone_instance(self):
+        # Round-off leaves basic values near -1e-8 in this LP; a ratio test on
+        # the raw right-hand sides then picks a pivot element of 7.9e-7 and
+        # reports the model infeasible.
+        pytest.importorskip("scipy")
+        spec = GeneratorSpec(n=40, m=5, gamma=30, seed=14284151879059536918)
+        inst = generate_instance(spec, index=0)
+        reference = solve_light_robust(inst, 0.0, backend=SimplexBackend())
+        highs = solve_light_robust(inst, 0.0, backend=ScipyBackend())
+        assert reference.value == pytest.approx(highs.value, rel=1e-6)
+
+
+class TestSolveRobust:
+    TIGHT = UncertainInstance(
+        objective=(-1.0,),
+        rows=(UncertainRow.from_arrays([2.0], [3.0], 2.0, 1),),
+        feasible_set=Box((1.0,), (1.0,)))
+
+    def test_worked_example(self, toy4):
+        out = solve_robust(toy4)
+        assert out.value == pytest.approx(-3.71, abs=0.01)
+        assert out.nominal_value == pytest.approx(-10.0, abs=1e-6)
+        assert worst_case_lhs(toy4.rows[0], out.solution, 0.0) <= 6.0 + 1e-7
+
+    def test_full_protection_that_cannot_fit_is_model_infeasible(self):
+        # x is pinned to 1: nominally 2 <= 2, but one deviation gives 5 > 2.
+        with pytest.raises(ModelInfeasible) as info:
+            solve_robust(self.TIGHT)
+        assert info.value.status is LpStatus.INFEASIBLE
