@@ -72,7 +72,7 @@ def _emit(doc: dict[str, Any], out_path: str | None) -> None:
 
 
 def _backend(args: argparse.Namespace):
-    if getattr(args, "backend", "reference") == "scipy":
+    if args.backend == "scipy":
         return ScipyBackend()
     return SimplexBackend()
 
@@ -234,14 +234,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # -- parser wiring ---------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, instance: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, instance: bool = True,
+                epsilon: bool = True, backend: bool = True) -> None:
     if instance:
         sub.add_argument("--instance", required=True, help="instance JSON file")
-    sub.add_argument("--epsilon", type=float, default=1e-4,
-                     help="bisection accuracy (default 1e-4)")
+    if epsilon:
+        sub.add_argument("--epsilon", type=float, default=1e-4,
+                         help="bisection accuracy (default 1e-4)")
     sub.add_argument("--out", help="also write the result as JSON to this file")
-    sub.add_argument("--backend", choices=("reference", "scipy"),
-                     default="reference", help="LP backend (default reference)")
+    if backend:
+        sub.add_argument("--backend", choices=("reference", "scipy"),
+                         default="reference", help="LP backend (default reference)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,17 +253,17 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("nominal", parents=[], help="solve the nominal counterpart")
-    _add_common(p)
+    _add_common(p, epsilon=False)
     p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("robust", help="budget-protected worst-case model")
-    _add_common(p)
+    _add_common(p, epsilon=False)
     p.add_argument("--lam", type=float, default=0.0,
                    help="confidence level of the cuts (default 0: full supports)")
     p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("light", help="slack-minimizing model under a cost budget")
-    _add_common(p)
+    _add_common(p, epsilon=False)
     p.add_argument("--rho0", type=float, default=0.0, help="cost budget above nominal")
     p.add_argument("--norm", choices=("max", "sum"), default="max")
     p.set_defaults(func=_cmd_model)
@@ -288,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_model)
 
     p = commands.add_parser("combi", help="budgeted min-max cost over a graph")
-    _add_common(p, instance=False)
+    _add_common(p, instance=False, backend=False)
     p.add_argument("--graph", required=True, help="edge-list graph file")
     p.add_argument("--oracle", choices=("sp", "mst"), required=True)
     p.add_argument("--gamma0", type=int, default=1, help="protection level")

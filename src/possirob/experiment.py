@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .models import Box, UncertainInstance, UncertainRow
-from .simplex import LpBackend, SolverConfig
+from .simplex import LpBackend
 from .solver import (AssumptionViolation, nominal_optimum, solve_light_robust,
                     solve_soft_nec)
 
@@ -239,9 +239,6 @@ def run_experiment(spec: GeneratorSpec,
                    instances_per_p: int = 100,
                    scenarios: int = 1000,
                    eps: float = 1e-4,
-                   include_nominal: bool = False,
-                   norm: str = "max",
-                   config: SolverConfig | None = None,
                    backend: LpBackend | None = None,
                    progress: Callable[[str], None] | None = None,
                    ) -> SimulationReport:
@@ -259,7 +256,7 @@ def run_experiment(spec: GeneratorSpec,
         inst = generate_instance(spec, index=i)
         scen = sample_scenarios(inst, stream(spec.seed, 1, i), scenarios)
         try:
-            c_hat, _ = nominal_optimum(inst, config, backend)
+            c_hat, _ = nominal_optimum(inst, backend=backend)
         except AssumptionViolation as exc:
             say(f"instance {i} excluded: {exc}")
             prepared.append(None)
@@ -280,9 +277,8 @@ def run_experiment(spec: GeneratorSpec,
             inst, scen, c_hat = prep
             rho0 = p * abs(c_hat)
             try:
-                light = solve_light_robust(inst, rho0, norm, config, backend)
-                soft = solve_soft_nec(inst, rho0, spec.shape, include_nominal,
-                                      eps, config, backend)
+                light = solve_light_robust(inst, rho0, backend=backend)
+                soft = solve_soft_nec(inst, rho0, spec.shape, eps=eps, backend=backend)
             except AssumptionViolation as exc:
                 say(f"p={p:.4f} instance {i} excluded: {exc}")
                 excluded += 1

@@ -187,20 +187,9 @@ class SimplexBackend:
         lo, hi = system.bounds()
 
         a0, b0 = system.dense()
-        rows = [a0] if a0.size else []
-        rhs = [b0 - a0 @ lo] if a0.size else []
-        bounded = np.flatnonzero(np.isfinite(hi))
-        if bounded.size:
-            ub_rows = np.zeros((bounded.size, k))
-            ub_rows[np.arange(bounded.size), bounded] = 1.0
-            rows.append(ub_rows)
-            rhs.append(hi[bounded] - lo[bounded])
-        if rows:
-            a = np.vstack(rows)
-            b = np.concatenate(rhs)
-        else:
-            a = np.zeros((0, k))
-            b = np.zeros(0)
+        bounded = np.isfinite(hi)
+        a = np.vstack([a0, np.eye(k)[bounded]])
+        b = np.concatenate([b0 - a0 @ lo, (hi - lo)[bounded]])
         m = a.shape[0]
 
         work = np.hstack([a, np.eye(m)])
@@ -215,33 +204,28 @@ class SimplexBackend:
         t[:m, :base] = work
         t[:m, -1] = b
         basis = np.arange(k, base)
-        for pos, i in enumerate(art_rows):
-            t[i, base + pos] = 1.0
-            basis[i] = base + pos
-        basis = basis.copy()
+        basis[art_rows] = np.arange(base, base + n_art)
+        t[art_rows, basis[art_rows]] = 1.0
 
         used = 0
         if n_art:
-            t[-1, base:base + n_art] = 1.0
+            t[-1, base:-1] = 1.0
             for i in art_rows:
                 t[-1] -= t[i]
             status, used = _iterate(t, basis, tol, config.max_iterations, used)
             if status != "optimal":  # phase one is always bounded below by zero
                 raise IterationLimitError("phase one terminated abnormally")
-            phase_one = -t[-1, -1]
-            if phase_one > 10.0 * tol * (1.0 + float(b.max(initial=0.0))):
+            if -t[-1, -1] > 10.0 * tol * (1.0 + float(b.max(initial=0.0))):
                 return LpResult(LpStatus.INFEASIBLE)
-            used = self._drive_out(t, basis, base, tol, used, config.max_iterations)
-            redundant = [i for i in range(t.shape[0] - 1) if basis[i] >= base]
-            if redundant:
-                t = np.delete(t, redundant, axis=0)
-                basis = np.delete(basis, redundant)
-            t = np.hstack([t[:, :base], t[:, -1:]])
-            point = self._extract(t, basis, k, base, lo)
-            if system.scaled_violation(point) > 10.0 * tol:
-                return LpResult(LpStatus.INFEASIBLE)
-        else:
-            point = lo.copy()
+            used = self._drive_out(t, basis, base, used, config.max_iterations)
+        # Rows whose artificial could not be driven out are redundant.
+        keep = basis < base
+        rows = np.append(keep, True)
+        t = np.hstack([t[rows, :base], t[rows, -1:]])
+        work, b, basis = work[keep], b[keep], basis[keep]
+        point = self._point(work, b, basis, k, lo)
+        if system.scaled_violation(point) > 10.0 * tol:
+            return LpResult(LpStatus.INFEASIBLE)
 
         if feasibility_only or system.objective is None:
             return LpResult(LpStatus.FEASIBLE, point=point)
@@ -256,22 +240,18 @@ class SimplexBackend:
         status, used = _iterate(t, basis, tol, config.max_iterations, used)
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED)
-        point = self._extract(t, basis, k, base, lo)
+        point = self._point(work, b, basis, k, lo)
         return LpResult(LpStatus.OPTIMAL, value=system.objective_value(point), point=point)
 
     @staticmethod
-    def _drive_out(t: np.ndarray, basis: np.ndarray, base: int, tol: float,
+    def _drive_out(t: np.ndarray, basis: np.ndarray, base: int,
                    used: int, budget: int) -> int:
         """Pivot zero-level artificial variables out of the basis when possible."""
-        m = t.shape[0] - 1
-        for i in range(m):
-            if basis[i] < base:
-                continue
-            row = np.abs(t[i, :base])
-            candidates = np.flatnonzero(row > _PIVOT_TOL)
-            if candidates.size:
-                # Prefer the largest element; the swap is degenerate anyway.
-                _pivot(t, basis, i, int(candidates[np.argmax(row[candidates])]))
+        for i in np.flatnonzero(basis >= base):
+            # Prefer the largest element; the swap is degenerate anyway.
+            col = int(np.argmax(np.abs(t[i, :base])))
+            if abs(t[i, col]) > _PIVOT_TOL:
+                _pivot(t, basis, i, col)
                 used += 1
                 if used >= budget:
                     raise IterationLimitError(
@@ -279,13 +259,15 @@ class SimplexBackend:
         return used
 
     @staticmethod
-    def _extract(t: np.ndarray, basis: np.ndarray, k: int, base: int,
-                 lo: np.ndarray) -> np.ndarray:
-        full = np.zeros(base)
-        m = t.shape[0] - 1
-        for i in range(m):
-            if basis[i] < base:
-                full[basis[i]] = max(t[i, -1], 0.0)
+    def _point(work: np.ndarray, b: np.ndarray, basis: np.ndarray, k: int,
+               lo: np.ndarray) -> np.ndarray:
+        """The basic solution of ``basis``, solved from the original rows.
+
+        The tableau's right-hand column drifts by round-off over long pivot
+        runs; one solve with the basis columns does not carry that drift.
+        """
+        full = np.zeros(work.shape[1])
+        full[basis] = np.maximum(np.linalg.solve(work[:, basis], b), 0.0)
         return full[:k] + lo
 
 

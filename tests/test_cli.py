@@ -118,6 +118,18 @@ class TestExitCodes:
         res = run_cli("nominal", "--instance", TOY4, "--frobnicate")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("nominal", "--instance", TOY4, "--epsilon", "1e-3"),
+        ("robust", "--instance", TOY4, "--epsilon", "1e-3"),
+        ("light", "--instance", TOY4, "--epsilon", "1e-3"),
+        ("combi", "--graph", TWO_PATH, "--oracle", "sp", "--backend", "scipy"),
+    ])
+    def test_flag_the_command_does_not_read_exits_one(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.build_parser().parse_args(argv)
+        assert info.value.code == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_file_exits_one(self):
         res = run_cli("nominal", "--instance", "no_such_file.json")
         assert res.returncode == 1

@@ -202,15 +202,22 @@ class TestLightRobust:
         assert out.value == pytest.approx(overshoot, abs=1e-7)
         assert out.nominal_value == pytest.approx(-10.0, abs=1e-6)
 
-    def test_reference_engine_matches_highs_on_a_round_off_prone_instance(self):
-        # Round-off leaves basic values near -1e-8 in this LP; a ratio test on
-        # the raw right-hand sides then picks a pivot element of 7.9e-7 and
-        # reports the model infeasible.
+    @pytest.mark.parametrize("seed, p", [(14284151879059536918, 0.0),
+                                         (9124745175646384294, 0.02)],
+                             ids=["ratio-test", "drift"])
+    def test_reference_engine_matches_highs_on_a_round_off_prone_instance(self, seed, p):
+        # Round-off once made the reference engine report these light robust
+        # LPs (index 0, rho0 = p * |nominal optimum|) infeasible, in two ways.
+        # ratio-test: basic values near -1e-8 gave negative ratios, so the
+        # ratio test on raw right-hand sides picked a pivot element of 7.9e-7.
+        # drift: after 908 phase-one pivots the tableau's right-hand
+        # column has drifted by up to 2.2e-7, so a point read from it breaks a
+        # row by 7.9e-8; the point solved from the final basis does not.
         pytest.importorskip("scipy")
-        spec = GeneratorSpec(n=40, m=5, gamma=30, seed=14284151879059536918)
-        inst = generate_instance(spec, index=0)
-        reference = solve_light_robust(inst, 0.0, backend=SimplexBackend())
-        highs = solve_light_robust(inst, 0.0, backend=ScipyBackend())
+        inst = generate_instance(GeneratorSpec(n=40, m=5, gamma=30, seed=seed), index=0)
+        rho0 = p * abs(nominal_optimum(inst)[0])
+        reference = solve_light_robust(inst, rho0, backend=SimplexBackend())
+        highs = solve_light_robust(inst, rho0, backend=ScipyBackend())
         assert reference.value == pytest.approx(highs.value, rel=1e-6)
 
 
