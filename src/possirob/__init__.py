@@ -25,12 +25,12 @@ from .simplex import (IterationLimitError, LpBackend, LpResult, LpStatus,
 from .models import (Box, FeasibleSet, Polyhedron, UncertainInstance,
                      UncertainObjective, UncertainRow, build_light_robust,
                      build_nec, build_nominal, build_robust, build_soft_nec,
-                     build_soft_nec_obj, dualize_budgeted_row,
-                     necessity_degree, top_sum, worst_case_lhs)
+                     build_soft_nec_obj, dualize_budgeted_row, top_sum,
+                     worst_case_lhs)
 from .solver import (AssumptionViolation, ModelInfeasible, OptimumOutcome,
-                    SolveOutcome, bisect, bisect_feasibility, nominal_optimum,
-                    solve_light_robust, solve_nec, solve_robust, solve_soft_nec,
-                    solve_soft_nec_obj)
+                    SolveOutcome, bisect, bisect_feasibility, necessity_degree,
+                    nominal_optimum, solve_light_robust, solve_nec, solve_robust,
+                    solve_soft_nec, solve_soft_nec_obj)
 from .combinatorial import (CombinatorialOracle, EdgeListGraph,
                             ExplicitSetOracle, ShortestPathOracle,
                             SpanningTreeOracle, brute_force_minmax, load_graph,

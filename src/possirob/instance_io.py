@@ -19,6 +19,7 @@ Validation failures name the offending field path.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .fuzzy import FuzzyGoal
@@ -50,6 +51,8 @@ def _require(doc: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float
+        _fail(path, "expected a finite number")
     return float(value)
 
 def _integer(value: Any, path: str, lo: int | None = None,

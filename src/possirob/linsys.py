@@ -1,96 +1,116 @@
 """Crisp linear systems produced by the model builders.
 
-A :class:`LinearSystem` collects named nonnegative (or box-bounded) variables,
-``<=`` constraints, and an optional linear objective to minimize.  Builders
-append blocks of dual and slack variables next to the decision block; the
-decision indices are recorded so solution vectors can be projected back.
+A :class:`LinearSystem` holds nonnegative (or box-bounded) variables, ``<=``
+constraints and an optional linear objective to minimize, all as numpy
+arrays.  Builders append whole blocks of dual and slack variables next to the
+decision block; the decision indices are recorded so solution vectors can be
+projected back.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Mapping
-
 import numpy as np
+from numpy.typing import ArrayLike
 
-__all__ = ["LinearSystem"]
-
-_INF = math.inf
+__all__ = ["LinearSystem", "scaled_violation"]
 
 
 class LinearSystem:
-    """Mutable container for one ``min c.v  s.t.  A v <= b, lb <= v <= ub``."""
+    """Mutable container for one ``min c.v  s.t.  A v <= b, lb <= v <= ub``.
+
+    The nonzero entries of ``A`` are kept as parallel ``entries`` arrays
+    ``(row, column, value)`` in the order they were added, which is row order.
+    """
 
     def __init__(self) -> None:
-        self.names: list[str] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.rows: list[tuple[dict[int, float], float]] = []
-        self.objective: dict[int, float] | None = None
+        self.lower = np.zeros(0)
+        self.upper = np.zeros(0)
+        self.rhs = np.zeros(0)
+        self.entries = (np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0))
+        self.objective: np.ndarray | None = None
         # Indices of the decision block; everything else is auxiliary.
-        self.x_indices: list[int] = []
+        self.x_indices: np.ndarray | None = None
 
     # -- construction --------------------------------------------------
 
-    def add_variable(self, name: str, lb: float = 0.0, ub: float | None = None) -> int:
-        """Declare a variable and return its index.  ``ub=None`` means unbounded."""
-        if not math.isfinite(lb):
-            raise ValueError(f"variable {name!r} needs a finite lower bound")
-        hi = _INF if ub is None else float(ub)
-        if hi < lb:
-            raise ValueError(f"variable {name!r} has empty bounds [{lb}, {hi}]")
-        self.names.append(name)
-        self.lower.append(float(lb))
-        self.upper.append(hi)
-        return len(self.names) - 1
+    def add_variables(self, count: int, lb: ArrayLike = 0.0,
+                      ub: ArrayLike | None = None) -> np.ndarray:
+        """Declare ``count`` variables and return their indices.  ``lb`` and
+        ``ub`` are scalars or one value per variable; ``ub=None`` means unbounded."""
+        lo, hi = np.empty(count), np.empty(count)
+        lo[:], hi[:] = lb, np.inf if ub is None else ub
+        if not np.isfinite(lo).all():
+            raise ValueError("variables need finite lower bounds")
+        if not (lo <= hi).all():
+            raise ValueError("variables need upper bounds (not NaN) at or above the lower")
+        first = self.n_variables
+        self.lower = np.concatenate([self.lower, lo])
+        self.upper = np.concatenate([self.upper, hi])
+        return np.arange(first, first + count)
 
-    def add_leq(self, coeffs: Mapping[int, float], rhs: float) -> None:
-        """Append the constraint ``sum(coeffs[j] * v_j) <= rhs``."""
-        n = len(self.names)
-        row = {}
-        for j, a in coeffs.items():
-            if not 0 <= j < n:
-                raise ValueError(f"constraint references undeclared variable index {j}")
-            if a != 0.0:
-                row[int(j)] = float(a)
-        self.rows.append((row, float(rhs)))
+    def add_leq(self, cols: ArrayLike, vals: ArrayLike, rhs: ArrayLike) -> None:
+        """Append one constraint ``vals[i] @ v[cols[i]] <= rhs[i]`` per entry
+        of ``rhs``; a scalar ``rhs`` appends one.  ``cols`` and ``vals``
+        broadcast to one row of entries per constraint.  Zero values are dropped.
+        """
+        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rows, cols = np.arange(rhs.size)[:, None], self._columns(cols, "constraint")
+        vals = np.asarray(vals, dtype=float)
+        grid = np.zeros(np.broadcast(rows, cols, vals).shape, dtype=np.intp)
+        rows, cols, vals = rows + grid, cols + grid, vals + grid
+        if rows.shape[0] != rhs.size:
+            raise ValueError("one row of entries is needed per right-hand side")
+        keep = vals != 0.0
+        old_rows, old_cols, old_vals = self.entries
+        self.entries = (np.concatenate([old_rows, rows[keep] + self.n_constraints]),
+                        np.concatenate([old_cols, cols[keep]]),
+                        np.concatenate([old_vals, vals[keep]]))
+        self.rhs = np.concatenate([self.rhs, rhs])
 
-    def set_objective(self, coeffs: Mapping[int, float]) -> None:
-        n = len(self.names)
-        for j in coeffs:
-            if not 0 <= j < n:
-                raise ValueError(f"objective references undeclared variable index {j}")
-        self.objective = {int(j): float(a) for j, a in coeffs.items() if a != 0.0}
+    def set_objective(self, cols: ArrayLike, vals: ArrayLike) -> None:
+        """Minimize ``vals @ v[cols]``."""
+        cols, vals = self._columns(cols, "objective"), np.asarray(vals, dtype=float)
+        keep = vals != 0.0
+        self.objective = np.zeros(self.n_variables)
+        self.objective[cols[keep]] = vals[keep]
+
+    def _columns(self, cols: ArrayLike, what: str) -> np.ndarray:
+        cols = np.asarray(cols, dtype=np.intp)
+        if cols.size and not (0 <= cols.min() and cols.max() < self.n_variables):
+            raise ValueError(f"{what} references an undeclared variable index")
+        return cols
 
     # -- inspection ----------------------------------------------------
 
     @property
     def n_variables(self) -> int:
-        return len(self.names)
+        return self.lower.size
 
     @property
     def n_constraints(self) -> int:
-        return len(self.rows)
+        return self.rhs.size
+
+    @property
+    def rows(self) -> list[tuple[np.ndarray, float]]:
+        """``(columns, rhs)`` per constraint, columns in the order they were added."""
+        row_of, cols, _ = self.entries
+        starts = np.searchsorted(row_of, np.arange(1, self.n_constraints))
+        return list(zip(np.split(cols, starts), self.rhs.tolist()))
 
     def dense(self) -> tuple[np.ndarray, np.ndarray]:
         """Constraint matrix and right-hand side as dense arrays."""
-        m, k = len(self.rows), len(self.names)
-        a = np.zeros((m, k))
-        b = np.zeros(m)
-        for i, (coeffs, rhs) in enumerate(self.rows):
-            if coeffs:
-                a[i, list(coeffs.keys())] = list(coeffs.values())
-            b[i] = rhs
-        return a, b
+        a = np.zeros((self.n_constraints, self.n_variables))
+        row_of, cols, vals = self.entries
+        a[row_of, cols] = vals
+        return a, self.rhs.copy()
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.lower, dtype=float), np.array(self.upper, dtype=float)
+        return self.lower.copy(), self.upper.copy()
 
     def objective_vector(self) -> np.ndarray:
-        c = np.zeros(len(self.names))
-        if self.objective:
-            c[list(self.objective.keys())] = list(self.objective.values())
-        return c
+        if self.objective is None:
+            return np.zeros(self.n_variables)
+        return np.pad(self.objective, (0, self.n_variables - self.objective.size))
 
     def objective_value(self, point: np.ndarray) -> float:
         return float(np.dot(self.objective_vector(), point))
@@ -98,36 +118,39 @@ class LinearSystem:
     def is_feasible(self, point: np.ndarray, tol: float) -> bool:
         """Check ``point`` against rows and bounds with absolute tolerance ``tol``."""
         v = np.asarray(point, dtype=float)
-        lo, hi = self.bounds()
-        if np.any(v < lo - tol) or np.any(v > hi + tol):
+        if np.any(v < self.lower - tol) or np.any(v > self.upper + tol):
             return False
         a, b = self.dense()
         return bool(b.size == 0 or (a @ v - b).max() <= tol)
 
     def scaled_violation(self, point: np.ndarray) -> float:
-        """Largest violation with each row scaled by ``1 + |rhs|`` (bounds by
-        ``1 + |bound|``), so the value compares against a relative tolerance."""
-        v = np.asarray(point, dtype=float)
-        lo, hi = self.bounds()
-        worst = 0.0
-        if lo.size:
-            worst = max(worst, float(((lo - v) / (1.0 + np.abs(lo))).max()))
-            finite = np.isfinite(hi)
-            if finite.any():
-                over = (v[finite] - hi[finite]) / (1.0 + np.abs(hi[finite]))
-                worst = max(worst, float(over.max()))
-        a, b = self.dense()
-        if b.size:
-            worst = max(worst, float(((a @ v - b) / (1.0 + np.abs(b))).max()))
-        return worst
+        """:func:`scaled_violation` of ``point`` against this system."""
+        return scaled_violation(point, *self.dense(), self.lower, self.upper)
 
     def extract_x(self, point: np.ndarray) -> np.ndarray:
         """Project a full variable vector onto the decision block."""
-        if not self.x_indices:
-            return np.asarray(point, dtype=float).copy()
-        return np.asarray(point, dtype=float)[self.x_indices].copy()
+        v = np.asarray(point, dtype=float)
+        return v.copy() if self.x_indices is None else v[self.x_indices]
 
     def __repr__(self) -> str:
         return (f"LinearSystem({self.n_variables} variables, "
                 f"{self.n_constraints} constraints, "
                 f"objective={'yes' if self.objective is not None else 'no'})")
+
+
+def scaled_violation(point: np.ndarray, a: np.ndarray, b: np.ndarray,
+                     lo: np.ndarray, hi: np.ndarray) -> float:
+    """Largest violation of ``a @ point <= b, lo <= point <= hi`` with each row
+    scaled by ``1 + |rhs|`` (bounds by ``1 + |bound|``), so the value compares
+    against a relative tolerance."""
+    v = np.asarray(point, dtype=float)
+    worst = 0.0
+    if lo.size:
+        worst = max(worst, float(((lo - v) / (1.0 + np.abs(lo))).max()))
+        finite = np.isfinite(hi)
+        if finite.any():
+            over = (v[finite] - hi[finite]) / (1.0 + np.abs(hi[finite]))
+            worst = max(worst, float(over.max()))
+    if b.size:
+        worst = max(worst, float(((a @ v - b) / (1.0 + np.abs(b))).max()))
+    return worst

@@ -35,7 +35,6 @@ __all__ = [
     "UncertainInstance",
     "top_sum",
     "worst_case_lhs",
-    "necessity_degree",
     "dualize_budgeted_row",
     "build_nominal",
     "build_robust",
@@ -150,10 +149,9 @@ class Box:
         if len(self.lower) != len(self.upper):
             raise ValueError("box corners differ in length")
         for j, (lo, hi) in enumerate(zip(self.lower, self.upper)):
-            if lo < 0:
-                raise ValueError(f"box lower bound at index {j} is negative")
-            if hi < lo:
-                raise ValueError(f"box is empty at index {j}: [{lo}, {hi}]")
+            if not 0.0 <= lo <= hi < math.inf:
+                raise ValueError(f"box bounds at index {j} break 0 <= lower <= upper "
+                                 f"< inf: [{lo}, {hi}]")
 
     @classmethod
     def unit(cls, n: int) -> "Box":
@@ -181,6 +179,8 @@ class Polyhedron:
         for i, row in enumerate(rows):
             if len(row) != self.n:
                 raise ValueError(f"polyhedron row {i} has length {len(row)}, expected {self.n}")
+        if not (np.isfinite(np.reshape(rows, -1)).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("polyhedron entries must be finite")
 
 
 FeasibleSet = Union[Box, Polyhedron]
@@ -199,6 +199,8 @@ class UncertainInstance:
         if not isinstance(self.objective, UncertainObjective):
             object.__setattr__(self, "objective",
                                tuple(float(v) for v in self.objective))
+            if not all(map(math.isfinite, self.objective)):
+                raise ValueError("objective coefficients must be finite")
         n = self.feasible_set.n
         if len(self.cost_nominal()) != n:
             raise ValueError("objective length does not match the feasible set")
@@ -252,83 +254,47 @@ def worst_case_lhs(row: UncertainRow | UncertainObjective, x: Sequence[float],
     return base + top_sum(row.half_widths(lam) * xv, row.protection)
 
 
-def necessity_degree(row: UncertainRow, x: Sequence[float], tol: float = 1e-6) -> float:
-    """Degree to which ``x`` is certainly protected on ``row``.
-
-    Bisects for the smallest level whose worst case still fits under the crisp
-    bound; the degree is one minus that level.  Returns 0 when even the
-    nominal data violates the bound and 1 when the full-support worst case
-    already fits.
-    """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    b = row.rhs.base
-    if worst_case_lhs(row, x, 0.0) <= b:
-        return 1.0
-    if worst_case_lhs(row, x, 1.0) > b:
-        return 0.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if worst_case_lhs(row, x, mid) <= b:
-            hi = mid
-        else:
-            lo = mid
-    return 1.0 - hi
-
-
 # -- dualized blocks ----------------------------------------------------
 
 
 def dualize_budgeted_row(system: LinearSystem, row: UncertainRow | UncertainObjective,
-                         lam: float, x_indices: Sequence[int],
-                         label: str) -> dict[int, float]:
+                         lam: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Emit the dual variables bounding one budgeted worst case at level ``lam``.
 
     Adds one scalar dual plus one per coefficient with a positive cut width,
-    together with the coupling constraints, and returns the left-hand-side
-    terms of the protected row.  The caller attaches whichever right-hand side
-    its model requires, so a single dualization serves every variant.
+    together with the coupling constraints, and returns the protected row's
+    ``(columns, values)``.  The caller attaches whichever right-hand side its
+    model requires, so a single dualization serves every variant.
     """
     _check_level(lam)
-    if len(x_indices) != row.n:
+    x = np.asarray(x, dtype=np.intp)
+    if x.shape != (row.n,):
         raise ValueError("decision block does not match the row dimension")
-    lhs = _nominal_terms(row, x_indices)
     if row.protection == 0:
-        return lhs
+        return x, row.nominal()
     widths = row.half_widths(lam)
-    w = system.add_variable(f"w[{label}]")
-    lhs[w] = float(row.protection)
-    for j in range(row.n):
-        if widths[j] <= 0.0:
-            continue
-        p = system.add_variable(f"p[{label},{j}]")
-        lhs[p] = 1.0
-        system.add_leq({x_indices[j]: widths[j], w: -1.0, p: -1.0}, 0.0)
-    return lhs
+    cut = np.flatnonzero(widths > 0.0)
+    w = system.add_variables(1)
+    p = system.add_variables(cut.size)
+    # Coupling row k: widths[j] x[j] - w - p[k] <= 0 for the k-th cut index j.
+    system.add_leq(np.column_stack([x[cut], np.repeat(w, cut.size), p]),
+                   np.column_stack([widths[cut], -np.ones((cut.size, 2))]),
+                   np.zeros(cut.size))
+    return (np.concatenate([x, w, p]),
+            np.concatenate([row.nominal(), [row.protection], np.ones(cut.size)]))
 
 
-def _nominal_terms(row: UncertainRow | UncertainObjective,
-                   x_idx: Sequence[int]) -> dict[int, float]:
-    return {x_idx[j]: a for j, a in enumerate(row.a_hat) if a != 0.0}
-
-
-def _add_decision_block(system: LinearSystem, instance: UncertainInstance) -> list[int]:
+def _decision_system(instance: UncertainInstance) -> tuple[LinearSystem, np.ndarray]:
+    """A new system holding the decision block and the feasible set's rows."""
+    system = LinearSystem()
     fs = instance.feasible_set
     if isinstance(fs, Box):
-        idx = [system.add_variable(f"x[{j}]", fs.lower[j], fs.upper[j])
-               for j in range(fs.n)]
+        x = system.add_variables(fs.n, fs.lower, fs.upper)
     else:
-        idx = [system.add_variable(f"x[{j}]") for j in range(fs.n)]
-        for row, rhs in zip(fs.rows, fs.rhs):
-            system.add_leq({idx[j]: row[j] for j in range(fs.n)}, rhs)
-    system.x_indices = idx
-    return idx
-
-
-def _cost_terms(instance: UncertainInstance, x_idx: Sequence[int]) -> dict[int, float]:
-    c = instance.cost_nominal()
-    return {x_idx[j]: float(c[j]) for j in range(instance.n) if c[j] != 0.0}
+        x = system.add_variables(fs.n)
+        system.add_leq(x, np.reshape(fs.rows, (-1, fs.n)), fs.rhs)
+    system.x_indices = x
+    return system, x
 
 
 def _require_crisp_objective(instance: UncertainInstance, what: str) -> None:
@@ -336,23 +302,18 @@ def _require_crisp_objective(instance: UncertainInstance, what: str) -> None:
         raise ValueError(f"{what} requires a crisp objective vector")
 
 
-def _add_nominal_row(system: LinearSystem, row: UncertainRow,
-                     x_idx: Sequence[int]) -> None:
-    system.add_leq(_nominal_terms(row, x_idx), row.rhs.base)
-
-
-def _nominal_rows(system: LinearSystem, instance: UncertainInstance,
-                  x_idx: Sequence[int]) -> None:
-    for row in instance.rows:
-        _add_nominal_row(system, row, x_idx)
+def _nominal_rows(system: LinearSystem, rows: Sequence[UncertainRow],
+                  x: np.ndarray) -> None:
+    system.add_leq(x, np.reshape([row.a_hat for row in rows], (-1, len(x))),
+                   [row.rhs.base for row in rows])
 
 
 def _protected_rows(system: LinearSystem, instance: UncertainInstance,
-                    lam: float, x_idx: Sequence[int], soft: bool = False) -> None:
+                    lam: float, x: np.ndarray, soft: bool = False) -> None:
     # Soft rows are granted their graded slack at level ``1 - lam``.
-    for i, row in enumerate(instance.rows):
-        lhs = dualize_budgeted_row(system, row, lam, x_idx, str(i))
-        system.add_leq(lhs, row.rhs.relaxed_rhs(1.0 - lam) if soft else row.rhs.base)
+    for row in instance.rows:
+        system.add_leq(*dualize_budgeted_row(system, row, lam, x),
+                       row.rhs.relaxed_rhs(1.0 - lam) if soft else row.rhs.base)
 
 
 # -- model builders ------------------------------------------------------
@@ -360,20 +321,18 @@ def _protected_rows(system: LinearSystem, instance: UncertainInstance,
 
 def build_nominal(instance: UncertainInstance) -> LinearSystem:
     """Deterministic counterpart under nominal data: min c.x, Ahat x <= b, x in X."""
-    system = LinearSystem()
-    x_idx = _add_decision_block(system, instance)
-    _nominal_rows(system, instance, x_idx)
-    system.set_objective(_cost_terms(instance, x_idx))
+    system, x = _decision_system(instance)
+    _nominal_rows(system, instance.rows, x)
+    system.set_objective(x, instance.cost_nominal())
     return system
 
 
 def build_robust(instance: UncertainInstance, lam: float = 0.0) -> LinearSystem:
     """Budget-protected counterpart at level ``lam`` (full supports at 0)."""
     _require_crisp_objective(instance, "the robust model")
-    system = LinearSystem()
-    x_idx = _add_decision_block(system, instance)
-    _protected_rows(system, instance, lam, x_idx)
-    system.set_objective(_cost_terms(instance, x_idx))
+    system, x = _decision_system(instance)
+    _protected_rows(system, instance, lam, x)
+    system.set_objective(x, instance.cost_nominal())
     return system
 
 
@@ -391,22 +350,20 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
     if not (math.isfinite(rho0) and rho0 >= 0):
         raise ValueError(f"cost tolerance must be finite and nonnegative, got {rho0!r}")
     _require_crisp_objective(instance, "the light robust model")
-    system = LinearSystem()
-    x_idx = _add_decision_block(system, instance)
-    slack_idx = [system.add_variable(f"gamma[{i}]") for i in range(instance.m)]
-    for i, row in enumerate(instance.rows):
-        lhs = dualize_budgeted_row(system, row, 0.0, x_idx, str(i))
-        lhs[slack_idx[i]] = -1.0
-        system.add_leq(lhs, row.rhs.base)
-        _add_nominal_row(system, row, x_idx)
-    system.add_leq(_cost_terms(instance, x_idx), c_hat + rho0)
+    system, x = _decision_system(instance)
+    slack = system.add_variables(instance.m)
+    for g, row in zip(slack, instance.rows):
+        cols, vals = dualize_budgeted_row(system, row, 0.0, x)
+        system.add_leq(np.append(cols, g), np.append(vals, -1.0), row.rhs.base)
+        _nominal_rows(system, [row], x)
+    system.add_leq(x, instance.cost_nominal(), c_hat + rho0)
     if norm == "max":
-        t = system.add_variable("gamma_max")
-        for g in slack_idx:
-            system.add_leq({g: 1.0, t: -1.0}, 0.0)
-        system.set_objective({t: 1.0})
+        t = system.add_variables(1)
+        system.add_leq(np.column_stack([slack, np.repeat(t, instance.m)]), [1.0, -1.0],
+                       np.zeros(instance.m))
+        system.set_objective(t, [1.0])
     else:
-        system.set_objective({g: 1.0 for g in slack_idx})
+        system.set_objective(slack, np.ones(instance.m))
     return system
 
 
@@ -416,11 +373,9 @@ def build_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal) -> Linea
     _require_crisp_objective(instance, "the strict necessity model")
     if goal.nominal_optimum is None:
         raise ValueError("goal anchor is unset; solve the nominal problem first")
-    system = LinearSystem()
-    x_idx = _add_decision_block(system, instance)
-    _protected_rows(system, instance, lam, x_idx)
-    system.add_leq(_cost_terms(instance, x_idx),
-                   goal.nominal_optimum + goal.tolerance)
+    system, x = _decision_system(instance)
+    _protected_rows(system, instance, lam, x)
+    system.add_leq(x, instance.cost_nominal(), goal.nominal_optimum + goal.tolerance)
     return system
 
 
@@ -434,12 +389,11 @@ def build_soft_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal,
     """
     _require_crisp_objective(instance, "the soft necessity model")
     _check_level(lam)
-    system = LinearSystem()
-    x_idx = _add_decision_block(system, instance)
-    _protected_rows(system, instance, lam, x_idx, soft=True)
-    system.add_leq(_cost_terms(instance, x_idx), goal.rhs_at(1.0 - lam))
+    system, x = _decision_system(instance)
+    _protected_rows(system, instance, lam, x, soft=True)
+    system.add_leq(x, instance.cost_nominal(), goal.rhs_at(1.0 - lam))
     if include_nominal:
-        _nominal_rows(system, instance, x_idx)
+        _nominal_rows(system, instance.rows, x)
     return system
 
 
@@ -455,11 +409,9 @@ def build_soft_nec_obj(instance: UncertainInstance, lam: float, c_hat: float,
     if not isinstance(obj, UncertainObjective):
         raise ValueError("instance does not carry an uncertain objective")
     _check_level(lam)
-    system = LinearSystem()
-    x_idx = _add_decision_block(system, instance)
-    system.add_leq(dualize_budgeted_row(system, obj, lam, x_idx, "0"),
-                   obj.budget(c_hat, lam))
-    _protected_rows(system, instance, lam, x_idx, soft=True)
+    system, x = _decision_system(instance)
+    system.add_leq(*dualize_budgeted_row(system, obj, lam, x), obj.budget(c_hat, lam))
+    _protected_rows(system, instance, lam, x, soft=True)
     if include_nominal:
-        _nominal_rows(system, instance, x_idx)
+        _nominal_rows(system, instance.rows, x)
     return system

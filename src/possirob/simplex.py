@@ -20,7 +20,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .linsys import LinearSystem
+from .linsys import LinearSystem, scaled_violation
 
 __all__ = [
     "LpStatus",
@@ -224,7 +224,7 @@ class SimplexBackend:
         t = np.hstack([t[rows, :base], t[rows, -1:]])
         work, b, basis = work[keep], b[keep], basis[keep]
         point = self._point(work, b, basis, k, lo)
-        if system.scaled_violation(point) > 10.0 * tol:
+        if scaled_violation(point, a0, b0, lo, hi) > 10.0 * tol:
             return LpResult(LpStatus.INFEASIBLE)
 
         if feasibility_only or system.objective is None:

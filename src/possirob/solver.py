@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fuzzy import FuzzyGoal
 from .linsys import LinearSystem
-from .models import (UncertainInstance, UncertainObjective, build_light_robust,
-                     build_nec, build_nominal, build_robust, build_soft_nec,
-                     build_soft_nec_obj)
+from .models import (UncertainInstance, UncertainObjective, UncertainRow,
+                     build_light_robust, build_nec, build_nominal, build_robust,
+                     build_soft_nec, build_soft_nec_obj, worst_case_lhs)
 from .simplex import (DEFAULT_CONFIG, LpBackend, LpStatus, SolverConfig,
                       check_feasible, solve)
 
@@ -32,6 +32,7 @@ __all__ = [
     "nominal_optimum",
     "bisect",
     "bisect_feasibility",
+    "necessity_degree",
     "solve_nec",
     "solve_soft_nec",
     "solve_soft_nec_obj",
@@ -110,6 +111,11 @@ def probe_count_bound(eps: float) -> int:
     return math.ceil(math.log2(1.0 / eps)) + 1
 
 
+def _check_accuracy(eps: float) -> None:
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"accuracy must be a finite positive number, got {eps!r}")
+
+
 def bisect_feasibility(probe: Callable[[float], np.ndarray | None], eps: float,
                        incumbent: np.ndarray | None = None,
                        ) -> tuple[np.ndarray, float, int, bool]:
@@ -121,8 +127,7 @@ def bisect_feasibility(probe: Callable[[float], np.ndarray | None], eps: float,
     probed level, that level, the number of probes performed, and whether
     every interior probe failed.
     """
-    if not (math.isfinite(eps) and eps > 0):
-        raise ValueError(f"accuracy must be a finite positive number, got {eps!r}")
+    _check_accuracy(eps)
     checks = 0
     if incumbent is None:
         incumbent = probe(1.0)
@@ -140,6 +145,22 @@ def bisect_feasibility(probe: Callable[[float], np.ndarray | None], eps: float,
         else:
             lo = mid
     return witness, hi, checks, hi == 1.0
+
+
+def necessity_degree(row: UncertainRow, x: Sequence[float], tol: float = 1e-6) -> float:
+    """Degree to which ``x`` is certainly protected on ``row``: one minus the
+    smallest level whose worst case fits under the crisp bound, bracketed to
+    ``tol``.  It is 0 when even the nominal data violates the bound and 1 when
+    the full-support worst case already fits."""
+    _check_accuracy(tol)
+    b = row.rhs.base
+    if worst_case_lhs(row, x, 0.0) <= b:
+        return 1.0
+    if worst_case_lhs(row, x, 1.0) > b:
+        return 0.0
+    _, level, _, _ = bisect_feasibility(
+        lambda lam: x if worst_case_lhs(row, x, lam) <= b else None, tol, incumbent=x)
+    return 1.0 - level
 
 
 def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,

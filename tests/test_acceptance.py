@@ -84,10 +84,10 @@ def test_criterion_4_duality_oracle_suite():
         direct = worst_case_lhs(row, x, lam) - float(np.dot(row.nominal(), x))
         brute = brute_force_budgeted_max(weights, row.protection)
         system = LinearSystem()
-        x_idx = [system.add_variable(f"x{j}", float(v), float(v))
-                 for j, v in enumerate(x)]
-        lhs = dualize_budgeted_row(system, row, lam, x_idx, "r")
-        system.set_objective({j: c for j, c in lhs.items() if j not in x_idx})
+        x_idx = system.add_variables(len(x), x, x)
+        cols, vals = dualize_budgeted_row(system, row, lam, x_idx)
+        dual = ~np.isin(cols, x_idx)
+        system.set_objective(cols[dual], vals[dual])
         res = solve(system)
         assert res.status is LpStatus.OPTIMAL
         assert abs(direct - brute) <= 1e-7

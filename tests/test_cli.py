@@ -178,6 +178,22 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "input error:" in res.stderr
 
+    @pytest.mark.parametrize("field, edit", [
+        ("c[0]", lambda doc: doc["c"].__setitem__(0, float("nan"))),
+        ("x_set.box.ub", lambda doc: doc["x_set"]["box"].__setitem__("ub", float("nan"))),
+        ("x_set.polyhedron.D[0][2]", lambda doc: doc.__setitem__(
+            "x_set", {"polyhedron": {"D": [[1, 1, float("inf"), 0]], "d": [2]}})),
+    ])
+    def test_non_finite_document_numbers_exit_one(self, field, edit, tmp_path):
+        doc = json.loads((INSTANCE_DIR / "toy4.json").read_text())
+        edit(doc)
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(doc))  # writes the NaN and Infinity literals
+        res = run_cli("nominal", "--instance", str(path))
+        assert res.returncode == 1
+        assert f"instance error: {field}: expected a finite number" in res.stderr
+        assert res.stdout == ""
+
     def test_simulate_zero_bound_exits_one(self, tmp_path):
         doc = json.loads((INSTANCE_DIR / "toy4.json").read_text())
         doc["rows"][0]["b"] = 0.0

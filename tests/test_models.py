@@ -21,10 +21,10 @@ def minimize_dual_block(row: UncertainRow, x, lam: float) -> float:
     """LP value of the emitted dual block for a fixed decision vector."""
     system = LinearSystem()
     # pin x by a zero-width box
-    x_idx = [system.add_variable(f"x{j}", float(v), float(v)) for j, v in enumerate(x)]
-    lhs = dualize_budgeted_row(system, row, lam, x_idx, "r")
-    objective = {j: c for j, c in lhs.items() if j not in x_idx}
-    system.set_objective(objective)
+    x_idx = system.add_variables(len(x), x, x)
+    cols, vals = dualize_budgeted_row(system, row, lam, x_idx)
+    dual = ~np.isin(cols, x_idx)
+    system.set_objective(cols[dual], vals[dual])
     res = solve(system)
     assert res.status is LpStatus.OPTIMAL
     return res.value
@@ -57,9 +57,9 @@ class TestDualizeBudgetedRow:
         x = [1.0, 1.0, 1.0, 1.0]
         row = UncertainRow.from_arrays([0, 1, 2, 3], [7, 5, 4, 2], 6.0, 0)
         system = LinearSystem()
-        x_idx = [system.add_variable(f"x{j}", 0.0, 1.0) for j in range(4)]
-        lhs = dualize_budgeted_row(system, row, 0.0, x_idx, "r")
-        assert set(lhs) <= set(x_idx)
+        x_idx = system.add_variables(4, 0.0, 1.0)
+        cols, _ = dualize_budgeted_row(system, row, 0.0, x_idx)
+        assert set(cols) <= set(x_idx)
         assert system.n_constraints == 0
         assert worst_case_lhs(row, x, 0.5) == pytest.approx(6.0)
 
@@ -101,6 +101,11 @@ class TestNecessityDegree:
         # closed form for uniform linear shapes: (b - nominal) / top-2 sum
         degree = necessity_degree(EX_ROW, [1.0, 0.6, 0.6, 0.0], 1e-6)
         assert degree == pytest.approx((6.0 - 1.8) / 10.0, abs=1e-5)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+    def test_rejects_a_tolerance_the_bisection_cannot_reach(self, tol):
+        with pytest.raises(ValueError):
+            necessity_degree(EX_ROW, [1.0, 1.0, 1.0, 0.0], tol)
 
     def test_matches_linear_closed_form_on_random_rows(self):
         rng = np.random.default_rng(5)
@@ -308,8 +313,9 @@ class TestBuildSoftNecObj:
         # no dual variables were created; after the feasible-set row the block
         # is the bare cost row against the graded goal
         assert system.n_variables == 2
-        coeffs, rhs = system.rows[1]
-        assert coeffs == {0: 1.0, 1: 2.0}
+        cols, rhs = system.rows[1]
+        assert cols.tolist() == [0, 1]
+        assert system.dense()[0][1].tolist() == [1.0, 2.0]
         assert rhs == pytest.approx(1.0 + 1.0 * 0.4)
 
     def test_pinned_toy_threshold_at_two_thirds(self):
@@ -462,6 +468,19 @@ class TestValidation:
             Box((-1.0,), (1.0,))
         with pytest.raises(ValueError):
             Box((2.0,), (1.0,))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Box((0.0,), (float("nan"),)),
+        lambda: Box((0.0,), (float("inf"),)),
+        lambda: Polyhedron(1, ((float("inf"),),), (1.0,)),
+        lambda: Polyhedron(1, ((1.0,),), (float("nan"),)),
+        lambda: UncertainInstance(objective=(float("nan"),), rows=(),
+                                  feasible_set=Box.unit(1)),
+        lambda: LinearSystem().add_variables(1, 0.0, float("nan")),
+    ])
+    def test_non_finite_data_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
 
     def test_objective_slack_anchored_at_zero(self):
         with pytest.raises(ValueError):

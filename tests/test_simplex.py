@@ -14,9 +14,9 @@ from possirob import (IterationLimitError, LinearSystem, LpStatus, ScipyBackend,
 
 def tiny_lp():
     s = LinearSystem()
-    x = s.add_variable("x", 0.0, 10.0)
-    s.add_leq({x: -1.0}, -3.0)
-    s.set_objective({x: 1.0})
+    x = s.add_variables(1, 0.0, 10.0)
+    s.add_leq(x, [-1.0], -3.0)
+    s.set_objective(x, [1.0])
     return s
 
 
@@ -29,24 +29,23 @@ class TestBasics:
 
     def test_contradictory_bounds_infeasible(self):
         s = LinearSystem()
-        x = s.add_variable("x")
-        s.add_leq({x: 1.0}, 1.0)
-        s.add_leq({x: -1.0}, -2.0)
+        x = s.add_variables(1)
+        s.add_leq(x, [1.0], 1.0)
+        s.add_leq(x, [-1.0], -2.0)
         assert solve(s).status is LpStatus.INFEASIBLE
         assert check_feasible(s).status is LpStatus.INFEASIBLE
 
     def test_empty_constraints_over_unit_box(self):
         s = LinearSystem()
-        for j in range(4):
-            s.add_variable(f"x{j}", 0.0, 1.0)
+        s.add_variables(4, 0.0, 1.0)
         res = check_feasible(s)
         assert res.status is LpStatus.FEASIBLE
         assert s.is_feasible(res.point, 1e-9)
 
     def test_unbounded_direction(self):
         s = LinearSystem()
-        x = s.add_variable("x")
-        s.set_objective({x: -1.0})
+        x = s.add_variables(1)
+        s.set_objective(x, [-1.0])
         assert solve(s).status is LpStatus.UNBOUNDED
 
     def test_feasibility_only_ignores_objective(self):
@@ -56,33 +55,34 @@ class TestBasics:
 
     def test_iteration_budget_raises_not_lies(self):
         s = LinearSystem()
-        xs = [s.add_variable(f"x{j}", 0.0, 1.0) for j in range(5)]
+        xs = s.add_variables(5, 0.0, 1.0)
         for j in range(4):
-            s.add_leq({xs[j]: 1.0, xs[j + 1]: -1.0}, 0.1)
-        s.add_leq({xs[0]: -1.0, xs[4]: -1.0}, -0.5)
-        s.set_objective({xs[j]: float(j - 2) for j in range(5)})
+            s.add_leq(xs[j:j + 2], [1.0, -1.0], 0.1)
+        s.add_leq(xs[[0, 4]], [-1.0, -1.0], -0.5)
+        s.set_objective(xs, np.arange(5.0) - 2.0)
         with pytest.raises(IterationLimitError):
             solve(s, SolverConfig(max_iterations=1))
 
     def test_declared_variable_validation(self):
         s = LinearSystem()
-        s.add_variable("x")
+        s.add_variables(1)
         with pytest.raises(ValueError):
-            s.add_leq({3: 1.0}, 0.0)
+            s.add_leq([3], [1.0], 0.0)
         with pytest.raises(ValueError):
-            s.set_objective({7: 1.0})
+            s.set_objective([7], [1.0])
+        with pytest.raises(ValueError):
+            s.add_leq([[0], [0]], [1.0], [0.0])  # two rows of entries, one bound
 
 
 def random_system(rng: np.random.Generator) -> LinearSystem:
     """Box-bounded system so the feasible region, when nonempty, has vertices."""
     n = int(rng.integers(1, 4))
     s = LinearSystem()
-    xs = [s.add_variable(f"x{j}", 0.0, float(rng.uniform(0.5, 2.0)))
-          for j in range(n)]
+    xs = s.add_variables(n, 0.0, [float(rng.uniform(0.5, 2.0)) for _ in range(n)])
     for _ in range(int(rng.integers(0, 7))):
-        coeffs = {xs[j]: float(rng.uniform(-2.0, 2.0)) for j in range(n)}
-        s.add_leq(coeffs, float(rng.uniform(-1.0, 3.0)))
-    s.set_objective({xs[j]: float(rng.uniform(-2.0, 2.0)) for j in range(n)})
+        coeffs = [float(rng.uniform(-2.0, 2.0)) for _ in range(n)]
+        s.add_leq(xs, coeffs, float(rng.uniform(-1.0, 3.0)))
+    s.set_objective(xs, [float(rng.uniform(-2.0, 2.0)) for _ in range(n)])
     return s
 
 

@@ -19,9 +19,8 @@ def step_builder(threshold: float):
 
     def build(lam: float) -> LinearSystem:
         s = LinearSystem()
-        x = s.add_variable("x", 0.0, 1.0)
-        s.add_leq({x: 1.0}, lam - threshold)
-        s.x_indices = [x]
+        s.x_indices = s.add_variables(1, 0.0, 1.0)
+        s.add_leq(s.x_indices, [1.0], lam - threshold)
         return s
 
     return build
@@ -65,9 +64,8 @@ class TestBisect:
     def test_never_feasible_family_raises_without_incumbent(self):
         def build(lam):
             s = LinearSystem()
-            x = s.add_variable("x", 0.0, 1.0)
-            s.add_leq({x: 1.0}, -1.0)
-            s.x_indices = [x]
+            s.x_indices = s.add_variables(1, 0.0, 1.0)
+            s.add_leq(s.x_indices, [1.0], -1.0)
             return s
 
         with pytest.raises(AssumptionViolation):
