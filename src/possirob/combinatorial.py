@@ -125,8 +125,8 @@ def solve_soft_nec_combinatorial(row: UncertainObjective, oracle: CombinatorialO
         value, x = minmax_budgeted(row, lam, oracle)
         return x if value <= row.budget(c_hat, lam) else None
 
-    return SolveOutcome.from_bracket(bisect_feasibility(probe, eps, incumbent=x_hat),
-                                     c_hat, extra_checks=1)
+    witness, lam_bar, checks = bisect_feasibility(probe, eps, incumbent=x_hat)
+    return SolveOutcome(witness, lam_bar, c_hat, checks)
 
 
 # -- bundled oracles -----------------------------------------------------

@@ -58,6 +58,10 @@ DESK_P_GRID: tuple[float, ...] = tuple(round(0.02 * i, 6) for i in range(11))
 FULL_SCALE = {"n": 100, "instances_per_p": 100, "scenarios": 1000, "p_grid": FULL_P_GRID}
 DESK_SCALE = {"n": 40, "instances_per_p": 20, "scenarios": 200, "p_grid": DESK_P_GRID}
 
+# Integer cost range, and right-hand sides as a fraction of the nominal row sums.
+COST_RANGE = (-100, -1)
+RHS_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -65,9 +69,7 @@ class GeneratorSpec:
 
     n: int = 100
     m: int = 5
-    cost_range: tuple[int, int] = (-100, -1)
     coeff_range: tuple[int, int] = (1, 100)
-    rhs_fraction: float = 0.3
     gamma: int = 30
     rhs_slack_fraction: float = 0.1
     shape: float = 1.0
@@ -76,14 +78,12 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.m < 1:
             raise ValueError("need at least one variable and one row")
-        for name in ("cost_range", "coeff_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name} is empty: [{lo}, {hi}]")
-        for name in ("rhs_fraction", "rhs_slack_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        lo, hi = self.coeff_range
+        if lo > hi:
+            raise ValueError(f"coeff_range is empty: [{lo}, {hi}]")
+        if not 0.0 <= self.rhs_slack_fraction <= 1.0:
+            raise ValueError("rhs_slack_fraction must lie in [0, 1], "
+                             f"got {self.rhs_slack_fraction}")
         if not 0 <= self.gamma <= self.n:
             raise ValueError(f"protection level {self.gamma} outside [0, {self.n}]")
         if self.shape <= 0:
@@ -100,20 +100,19 @@ def stream(seed: int, purpose: int, index: int = 0) -> np.random.Generator:
 def generate_instance(spec: GeneratorSpec, index: int = 0) -> UncertainInstance:
     """Draw one instance; deterministic in ``(spec, index)``.
 
-    Costs are uniform integers from the cost range, nominal coefficients
+    Costs are uniform integers from ``COST_RANGE``, nominal coefficients
     uniform integers from the coefficient range, each deviation a uniform
-    fraction of its nominal value.  Right-hand sides are the configured
-    fraction of the row sums, with proportional violation slack, over the
-    unit box.
+    fraction of its nominal value.  Right-hand sides are ``RHS_FRACTION`` of
+    the row sums, with proportional violation slack, over the unit box.
     """
     rng = stream(spec.seed, 0, index)
-    c_lo, c_hi = spec.cost_range
+    c_lo, c_hi = COST_RANGE
     a_lo, a_hi = spec.coeff_range
     costs = rng.integers(c_lo, c_hi + 1, size=spec.n).astype(float)
     a_hat = rng.integers(a_lo, a_hi + 1, size=(spec.m, spec.n)).astype(float)
     sigma = rng.random((spec.m, spec.n))
     a_bar = sigma * a_hat
-    b = spec.rhs_fraction * a_hat.sum(axis=1)
+    b = RHS_FRACTION * a_hat.sum(axis=1)
     b_bar = spec.rhs_slack_fraction * b
     rows = tuple(
         UncertainRow.from_arrays(a_hat[i], a_bar[i], b[i], spec.gamma,

@@ -68,9 +68,9 @@ class SoftBound:
 
     ``relaxed_rhs(level)`` is the largest threshold still acceptable to degree
     ``level``: the full ``base + slack`` at level 0, narrowing to the crisp
-    ``base`` at level 1.  ``slack = 0`` encodes a crisp bound.  ``shape = 0``
-    is also interpreted as crisp: the slack term is defined away entirely so
-    no relaxation is ever granted.
+    ``base`` at level 1.  ``slack = 0`` encodes a crisp bound, and so does
+    ``shape = 0``: ``level ** 0`` is 1 at every level (``0 ** 0`` included),
+    so no relaxation is ever granted.
     """
 
     base: float
@@ -89,8 +89,6 @@ class SoftBound:
     def relaxed_rhs(self, level: float) -> float:
         """Threshold granted at ``level``: ``base + slack * (1 - level**shape)``."""
         _check_level(level)
-        if self.shape == 0.0:
-            return self.base
         return self.base + self.slack * (1.0 - level ** self.shape)
 
 
@@ -102,7 +100,7 @@ class FuzzyGoal:
     ranging from ``nominal_optimum + tolerance`` at level 0 down to the
     reference optimum itself at level 1.  The anchor may be left unset until
     the reference problem has been solved.  ``shape = 0`` pins the cost to the
-    reference optimum regardless of level.
+    reference optimum regardless of level (``level ** 0`` is always 1).
     """
 
     nominal_optimum: float | None
@@ -122,8 +120,6 @@ class FuzzyGoal:
     def relaxation(self, level: float) -> float:
         """Slack granted on top of the anchor at ``level``."""
         _check_level(level)
-        if self.shape == 0.0:
-            return 0.0
         return self.tolerance * (1.0 - level ** self.shape)
 
     def rhs_at(self, level: float) -> float:

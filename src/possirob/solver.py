@@ -21,8 +21,7 @@ from .linsys import LinearSystem
 from .models import (UncertainInstance, UncertainObjective, UncertainRow,
                      build_light_robust, build_nec, build_nominal, build_robust,
                      build_soft_nec, build_soft_nec_obj, worst_case_lhs)
-from .simplex import (DEFAULT_CONFIG, LpBackend, LpStatus, SolverConfig,
-                      check_feasible, solve)
+from .simplex import LpBackend, LpStatus, SolverConfig, check_feasible, solve
 
 __all__ = [
     "AssumptionViolation",
@@ -56,33 +55,39 @@ class ModelInfeasible(RuntimeError):
         self.status = status
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class SolveOutcome:
     """Result of one degree-maximizing solve.
 
-    ``lambda_bar`` is the smallest level found feasible; the reported degree
-    is ``1 - lambda_bar`` and the solution is the witness collected at that
-    level.  ``iterations`` counts feasibility checks including the implicit
-    one done by the nominal solve.  ``effectively_zero`` marks runs where no
-    probed level below 1 was feasible, so the true degree is below ``eps``.
+    ``lambda_bar`` is the smallest level found feasible and ``solution`` the
+    witness collected at that level.  ``iterations`` counts feasibility
+    checks, level 1 included (the nominal solve that seeds a model's search
+    is that check).  ``degree`` is derived from ``lambda_bar``; passing one
+    to the constructor (as ``dataclasses.replace`` may) only checks it.
     """
 
     solution: np.ndarray
     lambda_bar: float
-    degree: float
     nominal_value: float
     iterations: int
-    effectively_zero: bool = False
 
-    @classmethod
-    def from_bracket(cls, bracket: tuple[np.ndarray, float, int, bool],
-                     nominal_value: float, extra_checks: int) -> "SolveOutcome":
-        """Outcome of a :func:`bisect_feasibility` result; ``extra_checks``
-        counts feasibility checks done before the bisection."""
-        witness, lam_bar, checks, at_top = bracket
-        return cls(solution=np.asarray(witness, dtype=float), lambda_bar=lam_bar,
-                   degree=1.0 - lam_bar, nominal_value=nominal_value,
-                   iterations=checks + extra_checks, effectively_zero=at_top)
+    def __init__(self, solution: np.ndarray, lambda_bar: float, nominal_value: float,
+                 iterations: int, *, degree: float | None = None) -> None:
+        if degree is not None and degree != 1.0 - lambda_bar:
+            raise ValueError(f"degree {degree!r} is not 1 - lambda_bar ({lambda_bar!r})")
+        for name, value in (("solution", solution), ("lambda_bar", lambda_bar),
+                            ("nominal_value", nominal_value), ("iterations", iterations)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def degree(self) -> float:
+        """The reported degree, ``1 - lambda_bar``."""
+        return 1.0 - self.lambda_bar
+
+    @property
+    def effectively_zero(self) -> bool:
+        """No level below 1 was feasible, so the true degree is below ``eps``."""
+        return self.lambda_bar == 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,33 +123,34 @@ def _check_accuracy(eps: float) -> None:
 
 def bisect_feasibility(probe: Callable[[float], np.ndarray | None], eps: float,
                        incumbent: np.ndarray | None = None,
-                       ) -> tuple[np.ndarray, float, int, bool]:
+                       ) -> tuple[np.ndarray, float, int]:
     """Bracket the smallest feasible level of a monotone probe.
 
     ``probe`` returns a witness for feasible levels and ``None`` otherwise.
-    When no incumbent is supplied, level 1 is probed first and its failure is
-    an assumption violation.  Returns the witness from the smallest feasible
-    probed level, that level, the number of probes performed, and whether
-    every interior probe failed.
+    Level 1 is checked first: ``incumbent`` is a witness already known there;
+    without one, level 1 is probed and its failure is an assumption
+    violation.  Halving stops once the bracket is at most ``eps`` wide or its
+    midpoint rounds onto an end, so an ``eps`` below the float spacing stops
+    at adjacent floats.  Returns the witness from the smallest feasible level
+    checked, that level, and the number of checks, level 1 included.
     """
     _check_accuracy(eps)
-    checks = 0
     if incumbent is None:
         incumbent = probe(1.0)
-        checks += 1
         if incumbent is None:
             raise AssumptionViolation("the system is infeasible even at level 1")
-    witness = incumbent
-    lo, hi = 0.0, 1.0
+    witness, lo, hi, checks = incumbent, 0.0, 1.0, 1
     while hi - lo > eps:
         mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
         candidate = probe(mid)
         checks += 1
         if candidate is not None:
             witness, hi = candidate, mid
         else:
             lo = mid
-    return witness, hi, checks, hi == 1.0
+    return witness, hi, checks
 
 
 def necessity_degree(row: UncertainRow, x: Sequence[float], tol: float = 1e-6) -> float:
@@ -158,7 +164,7 @@ def necessity_degree(row: UncertainRow, x: Sequence[float], tol: float = 1e-6) -
         return 1.0
     if worst_case_lhs(row, x, 1.0) > b:
         return 0.0
-    _, level, _, _ = bisect_feasibility(
+    _, level, _ = bisect_feasibility(
         lambda lam: x if worst_case_lhs(row, x, lam) <= b else None, tol, incumbent=x)
     return 1.0 - level
 
@@ -166,21 +172,17 @@ def necessity_degree(row: UncertainRow, x: Sequence[float], tol: float = 1e-6) -
 def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
            incumbent: np.ndarray | None = None,
            nominal_value: float = math.nan,
-           extra_checks: int = 0,
            config: SolverConfig | None = None,
            backend: LpBackend | None = None) -> SolveOutcome:
     """Maximize ``1 - level`` over a level-monotone family of linear systems."""
-    cfg = config or DEFAULT_CONFIG
 
     def probe(lam: float) -> np.ndarray | None:
         system = builder(lam)
-        res = check_feasible(system, cfg, backend)
-        if not res.is_feasible:
-            return None
-        return system.extract_x(res.point)
+        res = check_feasible(system, config, backend)
+        return system.extract_x(res.point) if res.is_feasible else None
 
-    return SolveOutcome.from_bracket(bisect_feasibility(probe, eps, incumbent),
-                                     nominal_value, extra_checks)
+    witness, lam_bar, checks = bisect_feasibility(probe, eps, incumbent)
+    return SolveOutcome(np.asarray(witness, dtype=float), lam_bar, nominal_value, checks)
 
 
 def solve_nec(instance: UncertainInstance, rho0: float, eps: float = DEFAULT_EPS,
@@ -189,9 +191,8 @@ def solve_nec(instance: UncertainInstance, rho0: float, eps: float = DEFAULT_EPS
     """Best certainly-protected solution under a hard budget ``c_hat + rho0``."""
     c_hat, x_hat = nominal_optimum(instance, config, backend)
     goal = FuzzyGoal(c_hat, rho0)
-    return bisect(lambda lam: build_nec(instance, lam, goal), eps,
-                  incumbent=x_hat, nominal_value=c_hat, extra_checks=1,
-                  config=config, backend=backend)
+    return bisect(lambda lam: build_nec(instance, lam, goal),
+                  eps, x_hat, c_hat, config, backend)
 
 
 def solve_soft_nec(instance: UncertainInstance, rho0: float,
@@ -203,8 +204,7 @@ def solve_soft_nec(instance: UncertainInstance, rho0: float,
     c_hat, x_hat = nominal_optimum(instance, config, backend)
     goal = FuzzyGoal(c_hat, rho0, goal_shape)
     return bisect(lambda lam: build_soft_nec(instance, lam, goal, include_nominal),
-                  eps, incumbent=x_hat, nominal_value=c_hat, extra_checks=1,
-                  config=config, backend=backend)
+                  eps, x_hat, c_hat, config, backend)
 
 
 def solve_soft_nec_obj(instance: UncertainInstance, eps: float = DEFAULT_EPS,
@@ -216,8 +216,7 @@ def solve_soft_nec_obj(instance: UncertainInstance, eps: float = DEFAULT_EPS,
         raise ValueError("instance does not carry an uncertain objective")
     c_hat, x_hat = nominal_optimum(instance, config, backend)
     return bisect(lambda lam: build_soft_nec_obj(instance, lam, c_hat, include_nominal),
-                  eps, incumbent=x_hat, nominal_value=c_hat, extra_checks=1,
-                  config=config, backend=backend)
+                  eps, x_hat, c_hat, config, backend)
 
 
 def _optimum(instance: UncertainInstance, builder: Callable[[float], LinearSystem],

@@ -14,9 +14,10 @@ TOY4_SOFT = str(INSTANCE_DIR / "toy4_soft.json")
 TWO_PATH = str(INSTANCE_DIR / "two_path.graph")
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
+def run_cli(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "possirob", *args],
-                          capture_output=True, text=True, cwd=REPO_ROOT)
+                          capture_output=True, text=True, cwd=REPO_ROOT,
+                          timeout=timeout)
 
 
 def parse_doc(stdout: str) -> dict:
@@ -47,6 +48,14 @@ class TestCommands:
         doc = parse_doc(res.stdout)
         assert 0.42 <= float(doc["degree"]) <= 0.45
         assert doc["epsilon"] == "0.000100"
+
+    def test_nec_accuracy_below_the_float_spacing_returns(self):
+        # The bisection stops at adjacent floats; the timeout turns a search
+        # that never ends into a failure.
+        res = run_cli("nec", "--instance", TOY4, "--rho0", "3",
+                      "--epsilon", "1e-300", timeout=30)
+        assert res.returncode == 0
+        assert 0.42 <= float(parse_doc(res.stdout)["degree"]) <= 0.45
 
     def test_soft_nec_with_nominal_rows(self):
         res = run_cli("soft-nec", "--instance", TOY4_SOFT, "--rho0", "3",

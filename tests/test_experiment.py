@@ -48,10 +48,6 @@ class TestGenerateInstance:
         with pytest.raises(ValueError):
             GeneratorSpec(n=0)
         with pytest.raises(ValueError):
-            GeneratorSpec(cost_range=(2, 1))
-        with pytest.raises(ValueError):
-            GeneratorSpec(rhs_fraction=1.5)
-        with pytest.raises(ValueError):
             GeneratorSpec(n=10, gamma=11)
 
 

@@ -1,17 +1,21 @@
 """Bisection driver: probe counts, brackets, and the worked-example degrees."""
 
+import dataclasses
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from possirob import (AssumptionViolation, Box, FuzzyGoal, GeneratorSpec,
                       LinearSystem, LpStatus, ModelInfeasible, ScipyBackend,
                       SimplexBackend, UncertainInstance, UncertainRow, bisect,
-                      build_soft_nec, check_feasible, generate_instance,
-                      nominal_optimum, solve_light_robust, solve_nec,
-                      solve_robust, solve_soft_nec, solve_soft_nec_obj,
-                      worst_case_lhs)
+                      bisect_feasibility, build_soft_nec, check_feasible,
+                      generate_instance, necessity_degree, nominal_optimum,
+                      solve_light_robust, solve_nec, solve_robust,
+                      solve_soft_nec, solve_soft_nec_obj, worst_case_lhs)
 from possirob.solver import probe_count_bound
-from conftest import random_instance
+from conftest import REPO_ROOT, random_instance
 
 
 def step_builder(threshold: float):
@@ -61,6 +65,15 @@ class TestBisect:
         assert out.degree >= 1.0 - eps
         assert not out.effectively_zero
 
+    def test_derived_fields_follow_lambda_bar(self):
+        out = bisect(step_builder(0.5), 2.0 ** -10)
+        lower = dataclasses.replace(out, lambda_bar=0.0, degree=1.0)
+        assert (lower.degree, lower.lambda_bar) == (1.0, 0.0)
+        top = dataclasses.replace(out, lambda_bar=1.0)
+        assert top.degree == 0.0 and top.effectively_zero
+        with pytest.raises(ValueError):
+            dataclasses.replace(out, lambda_bar=0.0, degree=0.5)
+
     def test_never_feasible_family_raises_without_incumbent(self):
         def build(lam):
             s = LinearSystem()
@@ -79,6 +92,50 @@ class TestBisect:
     def test_accuracy_must_be_finite(self, eps):
         with pytest.raises(ValueError):
             bisect(step_builder(0.5), eps)
+
+
+class TestBisectFeasibility:
+    def test_level_one_counts_whether_probed_or_supplied(self):
+        levels = []
+
+        def probe(lam):
+            levels.append(lam)
+            return np.zeros(1) if lam >= 0.3 else None
+
+        probed = bisect_feasibility(probe, 0.25)
+        supplied = bisect_feasibility(probe, 0.25, incumbent=np.ones(1))
+        assert levels == [1.0, 0.5, 0.25, 0.5, 0.25]
+        assert probed[1:] == supplied[1:] == (0.5, 3)
+        assert supplied[0][0] == 0.0
+
+
+def run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter; the timeout turns a search that
+    never ends into a failure instead of a hung suite."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=30, cwd=REPO_ROOT)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestAccuracyBelowFloatSpacing:
+    def test_bisection_stops_at_adjacent_floats(self):
+        lam, checks = run_python(
+            "from possirob import bisect_feasibility\n"
+            "print(*bisect_feasibility(lambda lam: 1 if lam >= 0.3 else None,"
+            " 1e-300, 1)[1:])").split()
+        assert float(lam) == 0.3
+        # Level 1 plus 54 halvings: floats in [0.25, 0.5) are 2**-54 apart.
+        assert int(checks) == 55
+
+    def test_necessity_degree_returns(self, toy4):
+        x = [1.0, 0.6, 0.6, 0.0]
+        degree = float(run_python(
+            "from possirob import load_instance, necessity_degree\n"
+            "row = load_instance('instances/toy4.json').rows[0]\n"
+            f"print(repr(necessity_degree(row, {x}, 1e-300)))"))
+        assert degree == pytest.approx(necessity_degree(toy4.rows[0], x, 1e-6),
+                                       abs=0.5e-5)
 
 
 class TestSolveNec:
