@@ -53,6 +53,8 @@ def _emit(doc: dict[str, Any], out_path: str | None) -> None:
     for key, value in doc.items():
         if isinstance(value, float):
             line = _fmt(value)
+            if key == "epsilon" and value and float(line) == 0.0:
+                line = repr(value)  # six decimals would print the accuracy as zero
         elif isinstance(value, (list, tuple, np.ndarray)):
             items = list(value)
             if all(isinstance(v, (int, np.integer)) for v in items):

@@ -31,16 +31,13 @@ __all__ = [
     "InstanceMetrics",
     "PointSummary",
     "SimulationReport",
-    "PRNG_NAME",
     "DESK_P_GRID",
     "FULL_P_GRID",
     "DESK_SCALE",
     "FULL_SCALE",
     "stream",
     "generate_instance",
-    "sample_scenario",
     "sample_scenarios",
-    "violation",
     "violation_metrics",
     "run_experiment",
 ]
@@ -130,6 +127,8 @@ def sample_scenarios(instance: UncertainInstance, rng: np.random.Generator,
     uniform inside the cut at that level.  Deviation-free coefficients stay
     at their nominal values.
     """
+    if count < 1:
+        raise ValueError(f"need at least one scenario, got {count}")
     a_hat = np.array([row.a_hat for row in instance.rows])
     a_bar = np.array([row.a_bar for row in instance.rows])
     shape = np.array([row.shape for row in instance.rows])
@@ -139,34 +138,15 @@ def sample_scenarios(instance: UncertainInstance, rng: np.random.Generator,
     return a_hat + (2.0 * u - 1.0) * half
 
 
-def sample_scenario(instance: UncertainInstance,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Draw a single ``(m, n)`` coefficient realization."""
-    return sample_scenarios(instance, rng, 1)[0]
-
-
-def _violations(x: Sequence[float], scenarios: np.ndarray,
-                instance: UncertainInstance) -> np.ndarray:
-    # Largest relative row overshoot per scenario; the last two axes of
-    # ``scenarios`` are (m, n).
-    b = np.array([row.rhs.base for row in instance.rows])
-    if np.any(b <= 0):
-        raise ValueError("violation metrics require strictly positive bounds")
-    lhs = np.asarray(scenarios, dtype=float) @ np.asarray(x, dtype=float)
-    return np.maximum((lhs - b) / b, 0.0).max(axis=-1)
-
-
-def violation(x: Sequence[float], scenario: np.ndarray,
-              instance: UncertainInstance) -> float:
-    """Largest relative constraint overshoot of ``x`` under one scenario."""
-    return float(_violations(x, scenario, instance))
-
-
 def violation_metrics(x: Sequence[float], scenarios: np.ndarray,
                       instance: UncertainInstance) -> tuple[float, float]:
     """Share of scenarios with a violated row, and the mean largest relative
     violation, of ``x`` over a ``(count, m, n)`` batch."""
-    viol = _violations(x, scenarios, instance)
+    b = np.array([row.rhs.base for row in instance.rows])
+    if np.any(b <= 0):
+        raise ValueError("violation metrics require strictly positive bounds")
+    lhs = np.asarray(scenarios, dtype=float) @ np.asarray(x, dtype=float)
+    viol = np.maximum((lhs - b) / b, 0.0).max(axis=-1)
     return float(np.mean(viol > 0.0)), float(np.mean(viol))
 
 
@@ -206,7 +186,6 @@ class PointSummary:
 @dataclass(frozen=True, eq=False)
 class SimulationReport:
     spec: GeneratorSpec
-    p_grid: tuple[float, ...]
     instances_per_p: int
     scenarios: int
     points: tuple[PointSummary, ...]
@@ -247,6 +226,9 @@ def run_experiment(spec: GeneratorSpec,
     averages; the per-budget exclusion count is reported.  Identical inputs
     produce identical reports, byte for byte.
     """
+    if instances_per_p < 1:
+        raise ValueError("need at least one instance per budget value, "
+                         f"got {instances_per_p}")
     grid = tuple(float(p) for p in (p_grid if p_grid is not None else FULL_P_GRID))
     say = progress or (lambda _msg: None)
 
@@ -302,6 +284,6 @@ def run_experiment(spec: GeneratorSpec,
         say(f"p={p:.4f}: d_L={means[0]:.4f} d_S={means[1]:.4f} "
             f"infeas_L={means[2]:.3f} infeas_S={means[3]:.3f} excluded={excluded}")
 
-    return SimulationReport(spec=spec, p_grid=grid,
-                            instances_per_p=instances_per_p, scenarios=scenarios,
-                            points=tuple(points), details=tuple(details))
+    return SimulationReport(spec=spec, instances_per_p=instances_per_p,
+                            scenarios=scenarios, points=tuple(points),
+                            details=tuple(details))

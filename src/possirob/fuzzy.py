@@ -1,11 +1,12 @@
-"""Symmetric fuzzy intervals, flexible bounds, and fuzzy cost goals.
+"""Flexible bounds and fuzzy cost goals, with the confidence-level check.
 
-A fuzzy interval is described here by a nested family of symmetric cuts
-around a nominal value: the cut at confidence level 0 spans the full support
-``[nominal - deviation, nominal + deviation]`` and shrinks to the nominal
-point at level 1.  Read as a possibility distribution, the cut at level
-``lam`` collects every value whose plausibility is at least ``lam``, so the
-chance that the true value falls inside it is at least ``1 - lam``.
+A fuzzy interval, one coefficient of a row in :mod:`possirob.models`, is a
+nested family of symmetric cuts around a nominal value: the cut at confidence
+level 0 spans the full support ``[nominal - deviation, nominal + deviation]``
+and shrinks to the nominal point at level 1.  Read as a possibility
+distribution, the cut at level ``lam`` collects every value whose
+plausibility is at least ``lam``, so the chance that the true value falls
+inside it is at least ``1 - lam``.
 
 Flexible right-hand sides and cost goals are the one-sided counterpart: a
 crisp threshold that may be exceeded by a graded slack, largest at level 0
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "FuzzyInterval",
     "SoftBound",
     "FuzzyGoal",
 ]
@@ -28,38 +28,6 @@ def _check_level(lam: float) -> None:
     # NaN fails both comparisons and is rejected too.
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"confidence level must lie in [0, 1], got {lam!r}")
-
-
-@dataclass(frozen=True)
-class FuzzyInterval:
-    """Symmetric fuzzy quantity ``nominal +- deviation`` with shape ``shape``.
-
-    The half-width of the level-``lam`` cut is ``deviation * (1 - lam**shape)``.
-    Small shapes concentrate plausibility near the nominal value; large shapes
-    approach a plain interval where every support value is fully possible.
-    """
-
-    nominal: float
-    deviation: float
-    shape: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.nominal) and math.isfinite(self.deviation)
-                and math.isfinite(self.shape)):
-            raise ValueError("fuzzy interval parameters must be finite")
-        if self.deviation < 0:
-            raise ValueError(f"deviation must be nonnegative, got {self.deviation}")
-        if self.shape <= 0:
-            raise ValueError(f"shape must be positive, got {self.shape}")
-
-    def alpha_at(self, lam: float) -> float:
-        """Half-width of the cut at level ``lam``.
-
-        Exactly ``deviation`` at level 0 and exactly 0 at level 1, strictly
-        decreasing in between whenever ``deviation > 0``.
-        """
-        _check_level(lam)
-        return self.deviation * (1.0 - lam ** self.shape)
 
 
 @dataclass(frozen=True)

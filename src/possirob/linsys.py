@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.typing import ArrayLike
 
-__all__ = ["LinearSystem", "scaled_violation"]
+__all__ = ["LinearSystem"]
 
 
 class LinearSystem:
@@ -122,10 +122,6 @@ class LinearSystem:
             return False
         a, b = self.dense()
         return bool(b.size == 0 or (a @ v - b).max() <= tol)
-
-    def scaled_violation(self, point: np.ndarray) -> float:
-        """:func:`scaled_violation` of ``point`` against this system."""
-        return scaled_violation(point, *self.dense(), self.lower, self.upper)
 
     def extract_x(self, point: np.ndarray) -> np.ndarray:
         """Project a full variable vector onto the decision block."""

@@ -57,6 +57,14 @@ class TestCommands:
         assert res.returncode == 0
         assert 0.42 <= float(parse_doc(res.stdout)["degree"]) <= 0.45
 
+    def test_accuracy_below_six_decimals_reads_back(self, tmp_path):
+        out = tmp_path / "nec.json"
+        res = run_cli("nec", "--instance", TOY4, "--rho0", "3",
+                      "--epsilon", "1e-9", "--out", str(out))
+        assert res.returncode == 0
+        assert float(parse_doc(res.stdout)["epsilon"]) == 1e-9
+        assert json.loads(out.read_text())["epsilon"] == 1e-9
+
     def test_soft_nec_with_nominal_rows(self):
         res = run_cli("soft-nec", "--instance", TOY4_SOFT, "--rho0", "3",
                       "--nominal-feasible")
@@ -212,6 +220,18 @@ class TestExitCodes:
         assert res.returncode == 1
         assert "input error:" in res.stderr
         assert "aviol" not in res.stdout
+
+    def test_simulate_without_scenarios_exits_one(self):
+        res = run_cli("simulate", "--instance", TOY4_SOFT, "--scenarios", "0")
+        assert res.returncode == 1
+        assert "input error: need at least one scenario" in res.stderr
+        assert res.stdout == ""
+
+    def test_experiment_without_instances_exits_one(self):
+        res = run_cli("experiment", "--n", "5", "--gamma", "2", "--instances", "-1")
+        assert res.returncode == 1
+        assert "input error: need at least one instance" in res.stderr
+        assert res.stdout == ""
 
     def test_solver_error_exits_three(self, monkeypatch, capsys):
         class Exhausted:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from possirob import (Box, GeneratorSpec, UncertainInstance, UncertainRow,
-                      generate_instance, run_experiment, sample_scenario,
-                      sample_scenarios, stream, violation)
+                      generate_instance, run_experiment, sample_scenarios,
+                      stream, violation_metrics)
 
 
 class TestGenerateInstance:
@@ -74,7 +74,7 @@ class TestSampleScenario:
 
     def test_single_draw_shape(self):
         inst = self.instance()
-        scen = sample_scenario(inst, stream(8, 1, 0))
+        scen = sample_scenarios(inst, stream(8, 1, 0), 1)[0]
         assert scen.shape == (1, 2)
 
     def test_levels_concentrate_mass_near_the_nominal(self):
@@ -86,6 +86,8 @@ class TestSampleScenario:
 
 
 class TestViolation:
+    SCENARIO = np.array([[2.0, 2.0]])
+
     def instance(self):
         row = UncertainRow.from_arrays([2.0, 2.0], [1.0, 1.0], 2.0, 1)
         return UncertainInstance(objective=(-1.0, -1.0), rows=(row,),
@@ -93,23 +95,23 @@ class TestViolation:
 
     def test_origin_never_violates(self):
         inst = self.instance()
-        assert violation([0.0, 0.0], np.array([[2.0, 2.0]]), inst) == 0.0
+        assert violation_metrics([0.0, 0.0], self.SCENARIO[None], inst)[1] == 0.0
 
     def test_direct_arithmetic(self):
         inst = self.instance()
-        assert violation([1.0, 1.0], np.array([[2.0, 2.0]]), inst) == \
+        assert violation_metrics([1.0, 1.0], self.SCENARIO[None], inst)[1] == \
             pytest.approx(1.0)
 
     def test_feasible_scenario_scores_zero(self):
         inst = self.instance()
-        assert violation([0.4, 0.4], np.array([[2.0, 2.0]]), inst) == 0.0
+        assert violation_metrics([0.4, 0.4], self.SCENARIO[None], inst)[1] == 0.0
 
     def test_nonpositive_bound_rejected(self):
         row = UncertainRow.from_arrays([1.0], [0.0], 0.0, 0)
         inst = UncertainInstance(objective=(1.0,), rows=(row,),
                                  feasible_set=Box.unit(1))
         with pytest.raises(ValueError):
-            violation([0.0], np.array([[1.0]]), inst)
+            violation_metrics([0.0], np.array([[1.0]])[None], inst)
 
 
 class TestRunExperiment:

@@ -5,37 +5,41 @@ import math
 import numpy as np
 import pytest
 
-from possirob import FuzzyGoal, FuzzyInterval, SoftBound
+from possirob import FuzzyGoal, SoftBound, UncertainRow
+
+
+def coefficient(nominal: float, deviation: float, shape: float = 1.0) -> UncertainRow:
+    """A one-coefficient row: its ``half_widths`` is that coefficient's cut."""
+    return UncertainRow.from_arrays([nominal], [deviation], 1.0, 0, shape=shape)
 
 
 class TestAlphaAt:
     def test_linear_triangular_midpoint(self):
-        assert FuzzyInterval(0, 7, 1).alpha_at(0.5) == pytest.approx(3.5)
+        assert coefficient(0, 7, 1).half_widths(0.5)[0] == pytest.approx(3.5)
 
     def test_top_of_distribution_is_exactly_zero(self):
-        assert FuzzyInterval(5, 2, 2).alpha_at(1.0) == 0.0
+        assert coefficient(5, 2, 2).half_widths(1.0)[0] == 0.0
 
     def test_sublinear_shape_quarter_level(self):
-        fi = FuzzyInterval(0, 7, 0.5)
-        width = fi.alpha_at(0.25)
+        width = coefficient(0, 7, 0.5).half_widths(0.25)[0]
         assert width == pytest.approx(7 * (1 - 0.5))
 
     def test_bottom_is_exactly_the_deviation(self):
-        assert FuzzyInterval(3, 11, 2.7).alpha_at(0.0) == 11.0
+        assert coefficient(3, 11, 2.7).half_widths(0.0)[0] == 11.0
 
     def test_level_domain_errors(self):
-        fi = FuzzyInterval(0, 1)
+        row = coefficient(0, 1)
         for bad in (-0.1, 1.1, math.nan):
             with pytest.raises(ValueError):
-                fi.alpha_at(bad)
+                row.half_widths(bad)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
-            FuzzyInterval(0, -1.0)
+            coefficient(0, -1.0)
         with pytest.raises(ValueError):
-            FuzzyInterval(0, 1.0, 0.0)
+            coefficient(0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            FuzzyInterval(math.inf, 1.0)
+            coefficient(math.inf, 1.0)
 
 
 class TestSoftBound:
@@ -94,8 +98,8 @@ class TestMonotoneShapes:
 
     @pytest.mark.parametrize("z", [0.3, 1.0, 2.0, 7.0])
     def test_alpha_nonincreasing_on_grid(self, z):
-        fi = FuzzyInterval(0.0, 3.0, z)
-        values = [fi.alpha_at(v) for v in self.GRID]
+        row = coefficient(0.0, 3.0, z)
+        values = [row.half_widths(v)[0] for v in self.GRID]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("z", [0.0, 0.5, 1.0, 4.0])
