@@ -159,20 +159,21 @@ def _cmd_model(args: argparse.Namespace) -> int:
     simulate = args.command == "simulate"
     name = args.model if simulate else args.command
     inst = load_instance(args.instance)
+    # Scenarios are drawn before the solve, so a bad count costs no solve.
+    scen = sample_scenarios(inst, stream(args.seed, 1, 0), args.scenarios) if simulate else None
     try:
         doc = _MODELS[name](args, inst, _backend(args))
     except ModelInfeasible as exc:
         head = {"model": "simulate", "solved": name} if simulate else {"model": name}
         _emit({**head, "status": exc.status.value}, args.out)
         return EXIT_INFEASIBLE
-    _emit(_score(args, inst, doc) if simulate else doc, args.out)
+    _emit(_score(args, inst, doc, scen) if simulate else doc, args.out)
     return EXIT_OK
 
 
 def _score(args: argparse.Namespace, inst: UncertainInstance,
-           solved: dict[str, Any]) -> dict[str, Any]:
+           solved: dict[str, Any], scen: np.ndarray) -> dict[str, Any]:
     x, c_hat = solved["solution"], solved["nominal_value"]
-    scen = sample_scenarios(inst, stream(args.seed, 1, 0), args.scenarios)
     infeas, aviol = violation_metrics(x, scen, inst)
     cost = float(np.dot(inst.cost_nominal(), x))
     return {

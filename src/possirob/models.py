@@ -1,18 +1,18 @@
 """Uncertain problem data and the crisp systems derived from it.
 
 An :class:`UncertainInstance` couples fuzzy-interval constraint rows with a
-feasible set and a cost vector (crisp or itself fuzzy).  The builders in this
-module translate it, for a fixed confidence level, into plain linear systems:
+feasible set and a cost vector (crisp or itself fuzzy).  For a fixed
+confidence level each model is first written as its :class:`LevelRows`:
 
-* the budgeted worst case of each row is replaced by its dual block, one
-  scalar dual per row plus one per coefficient, which is exact for
-  nonnegative decisions by strong duality;
 * the level parameterizes how far coefficients may stray from their nominal
   values (wide cuts at level 0, nominal data at level 1), and on the relaxed
-  variants how much right-hand-side and budget slack is granted.
-
-All builders share one dualization routine and differ only in the right-hand
-sides attached to the emitted blocks.
+  variants how much right-hand-side and budget slack is granted;
+* the builders turn those rows into plain linear systems by replacing each
+  budgeted worst case with its dual block, one scalar dual per row plus one
+  per coefficient, which is exact for nonnegative decisions by strong
+  duality;
+* the same rows also give relaxations over the decision variables alone,
+  holding some of each budgeted row's worst-case cuts.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ __all__ = [
     "top_sum",
     "worst_case_lhs",
     "dualize_budgeted_row",
+    "LevelRows",
+    "nec_rows",
+    "soft_nec_rows",
+    "soft_nec_obj_rows",
     "build_nominal",
     "build_robust",
     "build_light_robust",
@@ -270,9 +274,13 @@ def dualize_budgeted_row(system: LinearSystem, row: UncertainRow | UncertainObje
     x = np.asarray(x, dtype=np.intp)
     if x.shape != (row.n,):
         raise ValueError("decision block does not match the row dimension")
-    if row.protection == 0:
-        return x, row.nominal()
-    widths = row.half_widths(lam)
+    return _dual_block(system, x, row.nominal(), row.half_widths(lam), row.protection)
+
+
+def _dual_block(system: LinearSystem, x: np.ndarray, a_hat: np.ndarray,
+                widths: np.ndarray, protection: int) -> tuple[np.ndarray, np.ndarray]:
+    if protection == 0:
+        return x, a_hat
     cut = np.flatnonzero(widths > 0.0)
     w = system.add_variables(1)
     p = system.add_variables(cut.size)
@@ -281,13 +289,13 @@ def dualize_budgeted_row(system: LinearSystem, row: UncertainRow | UncertainObje
                    np.column_stack([widths[cut], -np.ones((cut.size, 2))]),
                    np.zeros(cut.size))
     return (np.concatenate([x, w, p]),
-            np.concatenate([row.nominal(), [row.protection], np.ones(cut.size)]))
+            np.concatenate([a_hat, [protection], np.ones(cut.size)]))
 
 
-def _decision_system(instance: UncertainInstance) -> tuple[LinearSystem, np.ndarray]:
+def _decision_system(feasible_set: FeasibleSet) -> tuple[LinearSystem, np.ndarray]:
     """A new system holding the decision block and the feasible set's rows."""
     system = LinearSystem()
-    fs = instance.feasible_set
+    fs = feasible_set
     if isinstance(fs, Box):
         x = system.add_variables(fs.n, fs.lower, fs.upper)
     else:
@@ -297,23 +305,134 @@ def _decision_system(instance: UncertainInstance) -> tuple[LinearSystem, np.ndar
     return system, x
 
 
+# -- per-level rows ------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class LevelRows:
+    """One model's rows at a fixed level, before any dualization.
+
+    Row ``i`` reads ``a_hat[i] @ x + top_sum(widths[i] * x, protection[i])
+    <= rhs[i]`` over ``x`` in ``feasible_set``; a row with protection 0 is
+    crisp.  Rows are kept in the order the model's system emits them.
+    """
+
+    feasible_set: FeasibleSet
+    a_hat: np.ndarray
+    widths: np.ndarray
+    protection: np.ndarray
+    rhs: np.ndarray
+
+    def dualized(self) -> LinearSystem:
+        """The model's linear system: each budgeted worst case is replaced by
+        its dual block (exact for nonnegative decisions)."""
+        system, x = _decision_system(self.feasible_set)
+        for a, w, k, b in zip(self.a_hat, self.widths, self.protection.tolist(),
+                              self.rhs.tolist()):
+            system.add_leq(*_dual_block(system, x, a, w, k), b)
+        return system
+
+    def relaxation(self, rows: np.ndarray, cuts: np.ndarray) -> LinearSystem:
+        """A system over the decision block alone: the feasible set, the crisp
+        rows, and for each ``k`` budgeted row ``rows[k]`` with the coefficients
+        picked by the boolean mask ``cuts[k]`` at their worst.
+
+        Every cut is implied by its row, so an infeasible relaxation proves
+        the level infeasible.  The crisp and cut rows are divided by their
+        largest absolute coefficient: on generated instances their
+        coefficients reach 100 against the bound rows' 1, and unscaled they
+        can stall the reference simplex or end its phase one at a false
+        verdict.
+        """
+        crisp = self.protection == 0
+        a = np.vstack([self.a_hat[crisp], self.a_hat[rows] + self.widths[rows] * cuts])
+        b = np.concatenate([self.rhs[crisp], self.rhs[rows]])
+        scale = np.abs(a).max(axis=1, initial=0.0)
+        scale[scale == 0.0] = 1.0
+        system, x = _decision_system(self.feasible_set)
+        system.add_leq(x, a / scale[:, None], b / scale)
+        return system
+
+
+# One row of a ``LevelRows``: nominal coefficients, cut half-widths,
+# protection, right-hand side.
+_Row = tuple[np.ndarray, np.ndarray, int, float]
+
+
+def _level_rows(instance: UncertainInstance, rows: list[_Row]) -> LevelRows:
+    n = instance.n
+    a_hat, widths, protection, rhs = zip(*rows) if rows else ((), (), (), ())
+    return LevelRows(instance.feasible_set, np.reshape(a_hat, (-1, n)),
+                     np.reshape(widths, (-1, n)), np.array(protection, dtype=np.intp),
+                     np.array(rhs, dtype=float))
+
+
+def _budgeted(rows: Sequence[UncertainRow | UncertainObjective], lam: float,
+              rhs: Sequence[float]) -> list[_Row]:
+    return [(row.nominal(), row.half_widths(lam), row.protection, b)
+            for row, b in zip(rows, rhs)]
+
+
+def _protected(instance: UncertainInstance, lam: float, soft: bool = False) -> list[_Row]:
+    # Soft rows are granted their graded slack at level ``1 - lam``.
+    return _budgeted(instance.rows, lam,
+                     [row.rhs.relaxed_rhs(1.0 - lam) if soft else row.rhs.base
+                      for row in instance.rows])
+
+
+def _crisp(a: np.ndarray, b: float) -> _Row:
+    return (np.asarray(a, dtype=float), np.zeros(len(a)), 0, b)
+
+
+def _nominal(instance: UncertainInstance) -> list[_Row]:
+    return [_crisp(row.nominal(), row.rhs.base) for row in instance.rows]
+
+
 def _require_crisp_objective(instance: UncertainInstance, what: str) -> None:
     if instance.has_uncertain_objective:
         raise ValueError(f"{what} requires a crisp objective vector")
 
 
-def _nominal_rows(system: LinearSystem, rows: Sequence[UncertainRow],
-                  x: np.ndarray) -> None:
-    system.add_leq(x, np.reshape([row.a_hat for row in rows], (-1, len(x))),
-                   [row.rhs.base for row in rows])
+def nec_rows(instance: UncertainInstance, lam: float, goal: FuzzyGoal) -> LevelRows:
+    """Strict protection at level ``lam`` under a hard cost budget
+    ``goal.nominal_optimum + goal.tolerance``."""
+    _require_crisp_objective(instance, "the strict necessity model")
+    if goal.nominal_optimum is None:
+        raise ValueError("goal anchor is unset; solve the nominal problem first")
+    return _level_rows(instance, _protected(instance, lam) + [
+        _crisp(instance.cost_nominal(), goal.nominal_optimum + goal.tolerance)])
 
 
-def _protected_rows(system: LinearSystem, instance: UncertainInstance,
-                    lam: float, x: np.ndarray, soft: bool = False) -> None:
-    # Soft rows are granted their graded slack at level ``1 - lam``.
-    for row in instance.rows:
-        system.add_leq(*dualize_budgeted_row(system, row, lam, x),
-                       row.rhs.relaxed_rhs(1.0 - lam) if soft else row.rhs.base)
+def soft_nec_rows(instance: UncertainInstance, lam: float, goal: FuzzyGoal,
+                  include_nominal: bool = False) -> LevelRows:
+    """Soft protection at level ``lam``.
+
+    Right-hand sides and the cost budget are granted their graded slack at
+    level ``1 - lam``, so lower levels (stronger protection) come with tighter
+    budgets.  ``include_nominal`` additionally pins nominal feasibility.
+    """
+    _require_crisp_objective(instance, "the soft necessity model")
+    _check_level(lam)
+    rows = _protected(instance, lam, soft=True)
+    rows.append(_crisp(instance.cost_nominal(), goal.rhs_at(1.0 - lam)))
+    return _level_rows(instance, rows + (_nominal(instance) if include_nominal else []))
+
+
+def soft_nec_obj_rows(instance: UncertainInstance, lam: float, c_hat: float,
+                      include_nominal: bool = False) -> LevelRows:
+    """Soft protection at level ``lam`` with a budgeted fuzzy objective.
+
+    The objective is one more budgeted row, placed first, whose bound is the
+    goal value plus its own violation slack; with a crisp cost vector and no
+    slack this collapses back to the plain soft model's cost row.
+    """
+    obj = instance.objective
+    if not isinstance(obj, UncertainObjective):
+        raise ValueError("instance does not carry an uncertain objective")
+    _check_level(lam)
+    rows = _budgeted([obj], lam, [obj.budget(c_hat, lam)])
+    rows += _protected(instance, lam, soft=True)
+    return _level_rows(instance, rows + (_nominal(instance) if include_nominal else []))
 
 
 # -- model builders ------------------------------------------------------
@@ -321,18 +440,16 @@ def _protected_rows(system: LinearSystem, instance: UncertainInstance,
 
 def build_nominal(instance: UncertainInstance) -> LinearSystem:
     """Deterministic counterpart under nominal data: min c.x, Ahat x <= b, x in X."""
-    system, x = _decision_system(instance)
-    _nominal_rows(system, instance.rows, x)
-    system.set_objective(x, instance.cost_nominal())
+    system = _level_rows(instance, _nominal(instance)).dualized()
+    system.set_objective(system.x_indices, instance.cost_nominal())
     return system
 
 
 def build_robust(instance: UncertainInstance, lam: float = 0.0) -> LinearSystem:
     """Budget-protected counterpart at level ``lam`` (full supports at 0)."""
     _require_crisp_objective(instance, "the robust model")
-    system, x = _decision_system(instance)
-    _protected_rows(system, instance, lam, x)
-    system.set_objective(x, instance.cost_nominal())
+    system = _level_rows(instance, _protected(instance, lam)).dualized()
+    system.set_objective(system.x_indices, instance.cost_nominal())
     return system
 
 
@@ -350,12 +467,12 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
     if not (math.isfinite(rho0) and rho0 >= 0):
         raise ValueError(f"cost tolerance must be finite and nonnegative, got {rho0!r}")
     _require_crisp_objective(instance, "the light robust model")
-    system, x = _decision_system(instance)
+    system, x = _decision_system(instance.feasible_set)
     slack = system.add_variables(instance.m)
     for g, row in zip(slack, instance.rows):
         cols, vals = dualize_budgeted_row(system, row, 0.0, x)
         system.add_leq(np.append(cols, g), np.append(vals, -1.0), row.rhs.base)
-        _nominal_rows(system, [row], x)
+        system.add_leq(x, row.nominal(), row.rhs.base)
     system.add_leq(x, instance.cost_nominal(), c_hat + rho0)
     if norm == "max":
         t = system.add_variables(1)
@@ -368,50 +485,17 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
 
 
 def build_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal) -> LinearSystem:
-    """Feasibility system for strict protection at level ``lam`` under a hard
-    cost budget ``goal.nominal_optimum + goal.tolerance``."""
-    _require_crisp_objective(instance, "the strict necessity model")
-    if goal.nominal_optimum is None:
-        raise ValueError("goal anchor is unset; solve the nominal problem first")
-    system, x = _decision_system(instance)
-    _protected_rows(system, instance, lam, x)
-    system.add_leq(x, instance.cost_nominal(), goal.nominal_optimum + goal.tolerance)
-    return system
+    """Feasibility system of :func:`nec_rows`."""
+    return nec_rows(instance, lam, goal).dualized()
 
 
 def build_soft_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal,
                    include_nominal: bool = False) -> LinearSystem:
-    """Feasibility system for soft protection at level ``lam``.
-
-    Right-hand sides and the cost budget are granted their graded slack at
-    level ``1 - lam``, so lower levels (stronger protection) come with tighter
-    budgets.  ``include_nominal`` additionally pins nominal feasibility.
-    """
-    _require_crisp_objective(instance, "the soft necessity model")
-    _check_level(lam)
-    system, x = _decision_system(instance)
-    _protected_rows(system, instance, lam, x, soft=True)
-    system.add_leq(x, instance.cost_nominal(), goal.rhs_at(1.0 - lam))
-    if include_nominal:
-        _nominal_rows(system, instance.rows, x)
-    return system
+    """Feasibility system of :func:`soft_nec_rows`."""
+    return soft_nec_rows(instance, lam, goal, include_nominal).dualized()
 
 
 def build_soft_nec_obj(instance: UncertainInstance, lam: float, c_hat: float,
                        include_nominal: bool = False) -> LinearSystem:
-    """Soft-protection feasibility system with a budgeted fuzzy objective.
-
-    The objective is folded into one more budgeted row whose bound is the
-    goal value plus its own violation slack; with a crisp cost vector and no
-    slack this collapses back to the plain soft system's cost constraint.
-    """
-    obj = instance.objective
-    if not isinstance(obj, UncertainObjective):
-        raise ValueError("instance does not carry an uncertain objective")
-    _check_level(lam)
-    system, x = _decision_system(instance)
-    system.add_leq(*dualize_budgeted_row(system, obj, lam, x), obj.budget(c_hat, lam))
-    _protected_rows(system, instance, lam, x, soft=True)
-    if include_nominal:
-        _nominal_rows(system, instance.rows, x)
-    return system
+    """Feasibility system of :func:`soft_nec_obj_rows`."""
+    return soft_nec_obj_rows(instance, lam, c_hat, include_nominal).dualized()

@@ -6,6 +6,10 @@ the smallest feasible level, which a plain bisection brackets to any accuracy
 ``eps`` using at most ``ceil(log2(1/eps))`` probes after the initial nominal
 solve (the nominal optimizer doubles as the witness at level 1, so that level
 is never probed explicitly).
+
+On the reference engine a degree model's levels are decided over the decision
+variables alone, by row generation on small relaxations; two dualized probes
+then confirm the bracket and collect the witness (see :func:`bisect`).
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ import numpy as np
 
 from .fuzzy import FuzzyGoal
 from .linsys import LinearSystem
-from .models import (UncertainInstance, UncertainObjective, UncertainRow,
+from .models import (LevelRows, UncertainInstance, UncertainObjective, UncertainRow,
                      build_light_robust, build_nec, build_nominal, build_robust,
-                     build_soft_nec, build_soft_nec_obj, worst_case_lhs)
-from .simplex import LpBackend, LpStatus, SolverConfig, check_feasible, solve
+                     build_soft_nec, build_soft_nec_obj, nec_rows, soft_nec_obj_rows,
+                     soft_nec_rows, top_sum, worst_case_lhs)
+from .simplex import (DEFAULT_CONFIG, LpBackend, LpStatus, ScipyBackend, SolverConfig,
+                      SolverError, check_feasible, solve)
 
 __all__ = [
     "AssumptionViolation",
@@ -40,6 +46,8 @@ __all__ = [
 ]
 
 DEFAULT_EPS = 1e-4
+# Separation rounds one level may take before its x-space verdict is given up.
+_MAX_ROUNDS = 100
 
 
 class AssumptionViolation(RuntimeError):
@@ -169,20 +177,111 @@ def necessity_degree(row: UncertainRow, x: Sequence[float], tol: float = 1e-6) -
     return 1.0 - level
 
 
+@dataclass(frozen=True)
+class _Family:
+    """A degree model over the level: calling it builds the dualized system,
+    ``rows`` gives the same model's rows at a level in x-space."""
+
+    build: Callable[[float], LinearSystem]
+    rows: Callable[[float], LevelRows]
+
+    def __call__(self, lam: float) -> LinearSystem:
+        return self.build(lam)
+
+
 def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
            incumbent: np.ndarray | None = None,
            nominal_value: float = math.nan,
            config: SolverConfig | None = None,
            backend: LpBackend | None = None) -> SolveOutcome:
-    """Maximize ``1 - level`` over a level-monotone family of linear systems."""
+    """Maximize ``1 - level`` over a level-monotone family of linear systems.
+
+    Each level is a feasibility probe of the built system.  For a degree
+    model solved on any engine but HiGHS, whose per-call overhead outweighs
+    the smaller LPs, levels are instead decided in x-space by row generation,
+    and two dualized probes close the bracket: one at its feasible end, whose
+    point is the witness the dualized search would return, and one at its
+    highest infeasible level.  If either disagrees, or an x-space LP fails,
+    the dualized search runs instead, so the outcome is the same either way.
+    """
 
     def probe(lam: float) -> np.ndarray | None:
         system = builder(lam)
         res = check_feasible(system, config, backend)
         return system.extract_x(res.point) if res.is_feasible else None
 
-    witness, lam_bar, checks = bisect_feasibility(probe, eps, incumbent)
+    found = None
+    if isinstance(builder, _Family) and not isinstance(backend, ScipyBackend):
+        found = _confirmed_xspace_bisection(builder.rows, probe, eps, incumbent,
+                                            config, backend)
+    witness, lam_bar, checks = found or bisect_feasibility(probe, eps, incumbent)
     return SolveOutcome(np.asarray(witness, dtype=float), lam_bar, nominal_value, checks)
+
+
+def _confirmed_xspace_bisection(
+        rows: Callable[[float], LevelRows], probe: Callable[[float], np.ndarray | None],
+        eps: float, incumbent: np.ndarray | None, config: SolverConfig | None,
+        backend: LpBackend | None) -> tuple[np.ndarray, float, int] | None:
+    """Bisect on x-space verdicts, then confirm the bracket with ``probe``;
+    ``None`` when the confirmation fails or an x-space LP did."""
+    pool: dict[tuple[int, bytes], np.ndarray] = {}
+    infeasible: list[float] = []
+
+    def decide(lam: float) -> np.ndarray | None:
+        point = _row_generation(rows(lam), pool, config, backend)
+        if point is None:
+            infeasible.append(lam)
+        return point
+
+    try:
+        _, hi, checks = bisect_feasibility(decide, eps, incumbent)
+    except (SolverError, AssumptionViolation):
+        return None
+    witness = incumbent if hi == 1.0 and incumbent is not None else probe(hi)
+    # The lower end only rises, so the last infeasible level is that end.
+    if witness is None or (infeasible and probe(infeasible[-1]) is not None):
+        return None
+    return witness, hi, checks
+
+
+def _row_generation(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
+                    config: SolverConfig | None,
+                    backend: LpBackend | None) -> np.ndarray | None:
+    """Decide one level over the decision variables alone.
+
+    Solves the relaxation holding the crisp rows and the cuts in ``pool``,
+    evaluates each budgeted row's closed-form worst case at its point, and
+    adds the top-``protection`` index set of every violated row to ``pool``
+    as a mask keyed by row and set (only the coefficients move with the
+    level, so the pool serves every level of one solve), until no row is
+    violated.  Returns that point, or ``None`` once a relaxation is
+    infeasible.
+    """
+    tol = (config or DEFAULT_CONFIG).feasibility_tolerance
+    n = view.a_hat.shape[1]
+    for _ in range(_MAX_ROUNDS):
+        relaxation = view.relaxation(np.array([i for i, _ in pool], dtype=np.intp),
+                                     np.reshape(list(pool.values()), (-1, n)))
+        res = check_feasible(relaxation, config, backend)
+        if not res.is_feasible:
+            return None
+        x = relaxation.extract_x(res.point)
+        violated = False
+        for i in np.flatnonzero(view.protection > 0).tolist():
+            k, b = int(view.protection[i]), float(view.rhs[i])
+            spread = view.widths[i] * x
+            if float(np.dot(view.a_hat[i], x)) + top_sum(spread, k) <= b + tol * (1.0 + abs(b)):
+                continue
+            mask = np.zeros(n, dtype=bool)
+            mask[np.argpartition(spread, n - k)[n - k:]] = True
+            key = (i, mask.tobytes())
+            if key in pool:
+                raise SolverError("row generation separated a cut it already holds")
+            pool[key] = mask
+            violated = True
+        if not violated:
+            return x
+    raise SolverError(f"row generation did not settle in {_MAX_ROUNDS} rounds")
 
 
 def solve_nec(instance: UncertainInstance, rho0: float, eps: float = DEFAULT_EPS,
@@ -191,7 +290,8 @@ def solve_nec(instance: UncertainInstance, rho0: float, eps: float = DEFAULT_EPS
     """Best certainly-protected solution under a hard budget ``c_hat + rho0``."""
     c_hat, x_hat = nominal_optimum(instance, config, backend)
     goal = FuzzyGoal(c_hat, rho0)
-    return bisect(lambda lam: build_nec(instance, lam, goal),
+    return bisect(_Family(lambda lam: build_nec(instance, lam, goal),
+                          lambda lam: nec_rows(instance, lam, goal)),
                   eps, x_hat, c_hat, config, backend)
 
 
@@ -203,7 +303,8 @@ def solve_soft_nec(instance: UncertainInstance, rho0: float,
     """Best softly-protected solution under the graded budget and row slacks."""
     c_hat, x_hat = nominal_optimum(instance, config, backend)
     goal = FuzzyGoal(c_hat, rho0, goal_shape)
-    return bisect(lambda lam: build_soft_nec(instance, lam, goal, include_nominal),
+    return bisect(_Family(lambda lam: build_soft_nec(instance, lam, goal, include_nominal),
+                          lambda lam: soft_nec_rows(instance, lam, goal, include_nominal)),
                   eps, x_hat, c_hat, config, backend)
 
 
@@ -215,8 +316,10 @@ def solve_soft_nec_obj(instance: UncertainInstance, eps: float = DEFAULT_EPS,
     if not isinstance(instance.objective, UncertainObjective):
         raise ValueError("instance does not carry an uncertain objective")
     c_hat, x_hat = nominal_optimum(instance, config, backend)
-    return bisect(lambda lam: build_soft_nec_obj(instance, lam, c_hat, include_nominal),
-                  eps, x_hat, c_hat, config, backend)
+    return bisect(
+        _Family(lambda lam: build_soft_nec_obj(instance, lam, c_hat, include_nominal),
+                lambda lam: soft_nec_obj_rows(instance, lam, c_hat, include_nominal)),
+        eps, x_hat, c_hat, config, backend)
 
 
 def _optimum(instance: UncertainInstance, builder: Callable[[float], LinearSystem],

@@ -227,6 +227,17 @@ class TestExitCodes:
         assert "input error: need at least one scenario" in res.stderr
         assert res.stdout == ""
 
+    def test_simulate_rejects_the_count_before_solving(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(cli._MODELS, "soft-nec", lambda *args: calls.append(args))
+        code = cli.main(["simulate", "--instance", TOY4_SOFT, "--model", "soft-nec",
+                         "--rho0", "2", "--scenarios", "-5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert calls == []
+        assert captured.out == ""
+        assert "input error: need at least one scenario" in captured.err
+
     def test_experiment_without_instances_exits_one(self):
         res = run_cli("experiment", "--n", "5", "--gamma", "2", "--instances", "-1")
         assert res.returncode == 1
