@@ -74,9 +74,13 @@ def _emit(doc: dict[str, Any], out_path: str | None) -> None:
 
 
 def _backend(args: argparse.Namespace):
-    if args.backend == "scipy":
+    if args.backend != "scipy":
+        return SimplexBackend()
+    try:
         return ScipyBackend()
-    return SimplexBackend()
+    except ImportError:
+        raise ValueError("--backend scipy needs scipy; install the 'scipy' extra: "
+                         "pip install 'possirob[scipy]'") from None
 
 
 def _degree_doc(model: str, out: SolveOutcome, eps: float,
@@ -351,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except InstanceFormatError as exc:
         print(f"instance error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssumptionViolation as exc:

@@ -7,9 +7,11 @@ rule whenever the objective stalls, which prevents cycling on the highly
 degenerate systems the model builders produce (many rows with zero right-hand
 side).
 
-Any external LP solver can be used instead by implementing the two-method
-backend interface; a ``scipy.optimize.linprog`` adapter ships here.  Oracle
-tests that pin exact pivot behaviour run against the reference backend only.
+Any external LP solver can be used instead by implementing the one-method
+backend interface; a ``scipy.optimize.linprog`` adapter ships here.  A system
+without an objective asks for plain feasibility: the answer is ``FEASIBLE``
+with a point, or ``INFEASIBLE``.  Oracle tests that pin exact pivot behaviour
+run against the reference backend only.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ __all__ = [
     "LpResult",
     "SolverConfig",
     "SolverError",
-    "IterationLimitError",
     "LpBackend",
     "SimplexBackend",
     "ScipyBackend",
     "solve",
-    "check_feasible",
 ]
 
 
@@ -76,17 +76,12 @@ DEFAULT_CONFIG = SolverConfig()
 
 
 class SolverError(RuntimeError):
-    """The LP engine stopped without a conclusive status."""
-
-
-class IterationLimitError(SolverError):
-    """Pivot budget exhausted before reaching a conclusive status."""
+    """The LP engine stopped without a conclusive status, e.g. when the pivot
+    budget ran out."""
 
 
 class LpBackend(Protocol):
     def solve(self, system: LinearSystem, config: SolverConfig) -> LpResult: ...
-
-    def check_feasible(self, system: LinearSystem, config: SolverConfig) -> LpResult: ...
 
 
 # -- reference implementation -----------------------------------------
@@ -155,8 +150,7 @@ def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
         _pivot(t, basis, row, col)
         used += 1
         if used >= budget:
-            raise IterationLimitError(
-                f"simplex exceeded the {budget}-pivot budget")
+            raise SolverError(f"simplex exceeded the {budget}-pivot budget")
         current = t[-1, -1]
         if current > last + 1e-12 * (1.0 + abs(last)):
             stall = 0
@@ -172,16 +166,9 @@ def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
 class SimplexBackend:
     """Reference dense two-phase simplex over the tableau."""
 
-    def solve(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
-        return self._run(system, config, feasibility_only=False)
-
-    def check_feasible(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
-        return self._run(system, config, feasibility_only=True)
-
     # The tableau holds [structural | slack | artificial | rhs] columns and
     # one objective row at the bottom.
-    def _run(self, system: LinearSystem, config: SolverConfig,
-             feasibility_only: bool) -> LpResult:
+    def solve(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
         tol = config.feasibility_tolerance
         k = system.n_variables
         lo, hi = system.bounds()
@@ -214,7 +201,7 @@ class SimplexBackend:
                 t[-1] -= t[i]
             status, used = _iterate(t, basis, tol, config.max_iterations, used)
             if status != "optimal":  # phase one is always bounded below by zero
-                raise IterationLimitError("phase one terminated abnormally")
+                raise SolverError("phase one terminated abnormally")
             if -t[-1, -1] > 10.0 * tol * (1.0 + float(b.max(initial=0.0))):
                 return LpResult(LpStatus.INFEASIBLE)
             used = self._drive_out(t, basis, base, used, config.max_iterations)
@@ -227,7 +214,7 @@ class SimplexBackend:
         if scaled_violation(point, a0, b0, lo, hi) > 10.0 * tol:
             return LpResult(LpStatus.INFEASIBLE)
 
-        if feasibility_only or system.objective is None:
+        if system.objective is None:
             return LpResult(LpStatus.FEASIBLE, point=point)
 
         c = np.zeros(t.shape[1])
@@ -254,8 +241,7 @@ class SimplexBackend:
                 _pivot(t, basis, i, col)
                 used += 1
                 if used >= budget:
-                    raise IterationLimitError(
-                        f"simplex exceeded the {budget}-pivot budget")
+                    raise SolverError(f"simplex exceeded the {budget}-pivot budget")
         return used
 
     @staticmethod
@@ -282,7 +268,8 @@ class ScipyBackend:
 
         self._linprog = linprog
 
-    def _call(self, system: LinearSystem, c: np.ndarray) -> LpResult:
+    def solve(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
+        c = system.objective_vector()
         a, b = system.dense()
         problem = {"A_ub": a if a.size else None, "b_ub": b if a.size else None,
                    "bounds": np.column_stack(system.bounds())}
@@ -297,23 +284,10 @@ class ScipyBackend:
             return LpResult(LpStatus.UNBOUNDED)
         if res.status != 0:
             raise SolverError(f"linprog failed: {res.message}")
-        return LpResult(LpStatus.OPTIMAL, value=float(res.fun), point=np.asarray(res.x))
-
-    def solve(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
+        point = np.asarray(res.x)
         if system.objective is None:
-            return self.check_feasible(system, config)
-        res = self._call(system, system.objective_vector())
-        if res.status is LpStatus.OPTIMAL:
-            return LpResult(LpStatus.OPTIMAL,
-                            value=system.objective_value(res.point),
-                            point=res.point)
-        return res
-
-    def check_feasible(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
-        res = self._call(system, np.zeros(system.n_variables))
-        if res.status is LpStatus.OPTIMAL:
-            return LpResult(LpStatus.FEASIBLE, point=res.point)
-        return res
+            return LpResult(LpStatus.FEASIBLE, point=point)
+        return LpResult(LpStatus.OPTIMAL, value=system.objective_value(point), point=point)
 
 
 _DEFAULT_BACKEND = SimplexBackend()
@@ -323,9 +297,3 @@ def solve(system: LinearSystem, config: SolverConfig | None = None,
           backend: LpBackend | None = None) -> LpResult:
     """Minimize the system objective; plain feasibility when none is set."""
     return (backend or _DEFAULT_BACKEND).solve(system, config or DEFAULT_CONFIG)
-
-
-def check_feasible(system: LinearSystem, config: SolverConfig | None = None,
-                   backend: LpBackend | None = None) -> LpResult:
-    """Phase-one feasibility test; returns a witness point when one exists."""
-    return (backend or _DEFAULT_BACKEND).check_feasible(system, config or DEFAULT_CONFIG)

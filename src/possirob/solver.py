@@ -27,7 +27,7 @@ from .models import (LevelRows, UncertainInstance, UncertainObjective, Uncertain
                      build_soft_nec, build_soft_nec_obj, nec_rows, soft_nec_obj_rows,
                      soft_nec_rows, top_sum, worst_case_lhs)
 from .simplex import (DEFAULT_CONFIG, LpBackend, LpStatus, ScipyBackend, SolverConfig,
-                      SolverError, check_feasible, solve)
+                      SolverError, solve)
 
 __all__ = [
     "AssumptionViolation",
@@ -207,7 +207,7 @@ def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
 
     def probe(lam: float) -> np.ndarray | None:
         system = builder(lam)
-        res = check_feasible(system, config, backend)
+        res = solve(system, config, backend)
         return system.extract_x(res.point) if res.is_feasible else None
 
     found = None
@@ -262,7 +262,7 @@ def _row_generation(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
     for _ in range(_MAX_ROUNDS):
         relaxation = view.relaxation(np.array([i for i, _ in pool], dtype=np.intp),
                                      np.reshape(list(pool.values()), (-1, n)))
-        res = check_feasible(relaxation, config, backend)
+        res = solve(relaxation, config, backend)
         if not res.is_feasible:
             return None
         x = relaxation.extract_x(res.point)

@@ -10,7 +10,7 @@ import pytest
 
 from possirob import (FuzzyGoal, GeneratorSpec, LinearSystem, LpStatus,
                       UncertainObjective, build_robust,
-                      build_soft_nec, check_feasible, dualize_budgeted_row,
+                      build_soft_nec, dualize_budgeted_row,
                       minmax_budgeted, brute_force_minmax, nominal_optimum,
                       run_experiment, solve, solve_nec, solve_soft_nec,
                       worst_case_lhs, ExplicitSetOracle)
@@ -105,9 +105,9 @@ def test_criterion_5_monotone_feasibility():
         goal = FuzzyGoal(0.0, float(rng.uniform(0.0, 3.0)))
         for _ in range(20):
             pair = np.sort(rng.uniform(0.0, 1.0, size=2))
-            low = check_feasible(build_soft_nec(inst, float(pair[0]), goal))
+            low = solve(build_soft_nec(inst, float(pair[0]), goal))
             if low.status is LpStatus.FEASIBLE:
-                high = check_feasible(build_soft_nec(inst, float(pair[1]), goal))
+                high = solve(build_soft_nec(inst, float(pair[1]), goal))
                 if high.status is not LpStatus.FEASIBLE:
                     violations += 1
     assert violations == 0
@@ -126,9 +126,9 @@ def test_criterion_6_bisection_contract():
         out = solve_soft_nec(inst, rho0=rho0, eps=eps)
         assert out.iterations <= bound
         goal = FuzzyGoal(out.nominal_value, rho0)
-        assert check_feasible(build_soft_nec(inst, out.lambda_bar, goal)).is_feasible
+        assert solve(build_soft_nec(inst, out.lambda_bar, goal)).is_feasible
         if out.lambda_bar >= eps:
-            below = check_feasible(build_soft_nec(inst, out.lambda_bar - eps, goal))
+            below = solve(build_soft_nec(inst, out.lambda_bar - eps, goal))
             assert not below.is_feasible
     clock.done("criterion 6 (probe-count bound and bisection bracket, 50 solves)")
 

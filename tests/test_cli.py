@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import INSTANCE_DIR, REPO_ROOT
-from possirob import IterationLimitError, cli
+from possirob import SolverError, cli
 
 TOY4 = str(INSTANCE_DIR / "toy4.json")
 TOY4_SOFT = str(INSTANCE_DIR / "toy4_soft.json")
@@ -151,6 +151,29 @@ class TestExitCodes:
         res = run_cli("nominal", "--instance", "no_such_file.json")
         assert res.returncode == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("nominal", "--instance", "DIR"),
+        ("combi", "--graph", "DIR", "--oracle", "sp"),
+        ("nominal", "--instance", TOY4, "--out", "DIR"),
+        ("experiment", "--n", "3", "--gamma", "1", "--instances", "1",
+         "--scenarios", "1", "--out", "DIR"),
+    ], ids=["instance", "graph", "out", "experiment-out"])
+    def test_directory_for_a_file_exits_one(self, argv, tmp_path, capsys):
+        code = cli.main([str(tmp_path) if a == "DIR" else a for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "file error:" in err
+        assert "Traceback" not in err
+
+    def test_scipy_backend_without_scipy_exits_one(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        code = cli.main(["nominal", "--instance", TOY4, "--backend", "scipy"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "install the 'scipy' extra" in captured.err
+        assert "Traceback" not in captured.err
+
     @staticmethod
     def tight_instance(tmp_path) -> str:
         # full protection cannot fit under the bound: 2x with x in [1, 1]
@@ -247,9 +270,7 @@ class TestExitCodes:
     def test_solver_error_exits_three(self, monkeypatch, capsys):
         class Exhausted:
             def solve(self, system, config):
-                raise IterationLimitError("simplex exceeded the 1-pivot budget")
-
-            check_feasible = solve
+                raise SolverError("simplex exceeded the 1-pivot budget")
 
         monkeypatch.setattr(cli, "SimplexBackend", Exhausted)
         assert cli.main(["nec", "--instance", TOY4, "--rho0", "3"]) == 3

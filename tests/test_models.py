@@ -10,7 +10,7 @@ from possirob import (Box, FuzzyGoal, LinearSystem, LpStatus,
                       Polyhedron, SoftBound, UncertainInstance,
                       UncertainObjective, UncertainRow, build_light_robust,
                       build_nec, build_nominal, build_robust, build_soft_nec,
-                      build_soft_nec_obj, check_feasible, dualize_budgeted_row,
+                      build_soft_nec_obj, dualize_budgeted_row,
                       necessity_degree, solve, top_sum, worst_case_lhs)
 from conftest import brute_force_budgeted_max, random_instance, random_row
 
@@ -205,28 +205,28 @@ class TestBuildNec:
 
     def test_witness_feasible_at_published_level(self, toy4):
         system = build_nec(toy4, 0.58, self.GOAL3)
-        assert check_feasible(system).status is LpStatus.FEASIBLE
+        assert solve(system).status is LpStatus.FEASIBLE
         assert worst_case_lhs(EX_ROW, [1.0, 0.6, 0.6, 0.0], 0.58) == pytest.approx(6.0)
 
     def test_infeasible_below_level_one_without_budget(self, toy4):
         goal = FuzzyGoal(-10.0, 0.0)
         for lam in (0.3, 0.9, 0.999):
-            assert check_feasible(build_nec(toy4, lam, goal)).status is LpStatus.INFEASIBLE
+            assert solve(build_nec(toy4, lam, goal)).status is LpStatus.INFEASIBLE
 
     def test_level_one_feasible_by_assumption(self, toy4):
-        assert check_feasible(build_nec(toy4, 1.0, FuzzyGoal(-10.0, 0.0))).status \
+        assert solve(build_nec(toy4, 1.0, FuzzyGoal(-10.0, 0.0))).status \
             is LpStatus.FEASIBLE
 
 
 class TestBuildSoftNec:
     def test_fully_relaxed_at_level_one(self, toy4_soft):
         goal = FuzzyGoal(-10.0, 0.0)
-        assert check_feasible(build_soft_nec(toy4_soft, 1.0, goal)).status \
+        assert solve(build_soft_nec(toy4_soft, 1.0, goal)).status \
             is LpStatus.FEASIBLE
 
     def test_crisp_budget_and_tight_rows_infeasible_at_level_zero(self, toy4_soft):
         goal = FuzzyGoal(-10.0, 0.0)
-        assert check_feasible(build_soft_nec(toy4_soft, 0.0, goal)).status \
+        assert solve(build_soft_nec(toy4_soft, 0.0, goal)).status \
             is LpStatus.INFEASIBLE
 
     def test_nominal_rows_flag_adds_rows_and_tightens(self, toy4_soft):
@@ -237,7 +237,7 @@ class TestBuildSoftNec:
         assert pinned.n_constraints == plain.n_constraints + toy4_soft.m
         # identical variable layout, extra rows only: a witness of the pinned
         # system satisfies the plain one
-        w_pin = check_feasible(pinned)
+        w_pin = solve(pinned)
         assert w_pin.status is LpStatus.FEASIBLE
         assert plain.is_feasible(w_pin.point, 1e-6)
 
@@ -248,8 +248,8 @@ class TestBuildSoftNec:
                                    int(rng.integers(1, 4)), with_slack=True)
             goal = FuzzyGoal(0.0, float(rng.uniform(0.0, 3.0)))
             lams = np.sort(rng.uniform(0.0, 1.0, size=2))
-            low = check_feasible(build_soft_nec(inst, float(lams[0]), goal))
-            high = check_feasible(build_soft_nec(inst, float(lams[1]), goal))
+            low = solve(build_soft_nec(inst, float(lams[0]), goal))
+            high = solve(build_soft_nec(inst, float(lams[1]), goal))
             if low.status is LpStatus.FEASIBLE:
                 assert high.status is LpStatus.FEASIBLE
 
@@ -266,10 +266,10 @@ class TestBuildSoftNec:
             strict_goal = FuzzyGoal(0.0, rho0, z)
             scaling = 1.0 - (1.0 - lam) ** z
             soft_goal = FuzzyGoal(0.0, rho0 / scaling, z)
-            strict = check_feasible(build_nec(inst, lam, strict_goal))
+            strict = solve(build_nec(inst, lam, strict_goal))
             if strict.status is not LpStatus.FEASIBLE:
                 continue
-            soft = check_feasible(build_soft_nec(inst, lam, soft_goal))
+            soft = solve(build_soft_nec(inst, lam, soft_goal))
             assert soft.status is LpStatus.FEASIBLE
 
 
@@ -291,8 +291,8 @@ class TestBuildSoftNecObj:
                 goal=goal),
             rows=toy4_soft.rows, feasible_set=toy4_soft.feasible_set)
         for lam in (0.0, 0.2, 0.5, 0.8, 1.0):
-            plain = check_feasible(build_soft_nec(toy4_soft, lam, goal))
-            folded = check_feasible(build_soft_nec_obj(wrapped, lam, -10.0))
+            plain = solve(build_soft_nec(toy4_soft, lam, goal))
+            folded = solve(build_soft_nec_obj(wrapped, lam, -10.0))
             assert plain.status == folded.status
 
     def test_free_second_coordinate_makes_every_level_feasible(self):
@@ -300,7 +300,7 @@ class TestBuildSoftNecObj:
         # with gamma0=1 c_bar=(1,0): x=(0,1) costs 1 with no deviation, so the
         # system is feasible at every level
         for lam in (0.0, 0.5, 1.0):
-            assert check_feasible(build_soft_nec_obj(inst, lam, 1.0)).status \
+            assert solve(build_soft_nec_obj(inst, lam, 1.0)).status \
                 is LpStatus.FEASIBLE
 
     def test_zero_protection_zero_slack_reduces_to_goal_constraint(self):
@@ -330,7 +330,7 @@ class TestBuildSoftNecObj:
                                     (-1.0, 1.0, 0.0)))
         for lam, expected in ((0.5, LpStatus.INFEASIBLE), (0.6, LpStatus.INFEASIBLE),
                               (0.7, LpStatus.FEASIBLE), (1.0, LpStatus.FEASIBLE)):
-            assert check_feasible(build_soft_nec_obj(pinned, lam, 1.0)).status \
+            assert solve(build_soft_nec_obj(pinned, lam, 1.0)).status \
                 is expected, lam
 
 
@@ -445,7 +445,7 @@ class TestObjectiveSlack:
         threshold = 4.0 / 7.0
         for lam, expected in ((threshold - 0.01, LpStatus.INFEASIBLE),
                               (threshold + 0.01, LpStatus.FEASIBLE)):
-            assert check_feasible(build_soft_nec_obj(pinned, lam, 1.0)).status \
+            assert solve(build_soft_nec_obj(pinned, lam, 1.0)).status \
                 is expected
 
 

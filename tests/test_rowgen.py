@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from possirob import (FuzzyGoal, GeneratorSpec, Polyhedron, SimplexBackend,
                       SolverError, UncertainObjective, bisect_feasibility, build_nec,
-                      build_soft_nec, build_soft_nec_obj, check_feasible,
-                      generate_instance, nominal_optimum, solve_nec, solve_soft_nec,
+                      build_soft_nec, build_soft_nec_obj, generate_instance,
+                      nominal_optimum, solve, solve_nec, solve_soft_nec,
                       solve_soft_nec_obj, soft_nec_rows)
 from possirob import solver
 from conftest import random_instance
@@ -22,7 +22,7 @@ def dualized_only(builder, eps, incumbent):
 
     def probe(lam):
         system = builder(lam)
-        res = check_feasible(system)
+        res = solve(system)
         return system.extract_x(res.point) if res.is_feasible else None
 
     return bisect_feasibility(probe, eps, incumbent)
@@ -36,16 +36,16 @@ def assert_same(out, expected):
 
 
 class CountingBackend(SimplexBackend):
-    """Reference engine that counts feasibility checks on dualized systems
-    (those with more variables than the decision block)."""
+    """Reference engine that counts LPs on dualized systems (those with more
+    variables than the decision block)."""
 
     def __init__(self, n):
         self.n = n
         self.dualized = 0
 
-    def check_feasible(self, system, config):
+    def solve(self, system, config):
         self.dualized += system.n_variables > self.n
-        return super().check_feasible(system, config)
+        return super().solve(system, config)
 
 
 def solve_case(rng, model, polyhedron):

@@ -7,9 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from possirob import (IterationLimitError, LinearSystem, LpStatus, ScipyBackend,
-                      SimplexBackend, SolverConfig, SolverError, check_feasible,
-                      solve)
+from possirob import (LinearSystem, LpStatus, ScipyBackend, SimplexBackend,
+                      SolverConfig, SolverError, solve)
 from possirob.linsys import scaled_violation
 
 
@@ -34,12 +33,11 @@ class TestBasics:
         s.add_leq(x, [1.0], 1.0)
         s.add_leq(x, [-1.0], -2.0)
         assert solve(s).status is LpStatus.INFEASIBLE
-        assert check_feasible(s).status is LpStatus.INFEASIBLE
 
     def test_empty_constraints_over_unit_box(self):
         s = LinearSystem()
         s.add_variables(4, 0.0, 1.0)
-        res = check_feasible(s)
+        res = solve(s)
         assert res.status is LpStatus.FEASIBLE
         assert s.is_feasible(res.point, 1e-9)
 
@@ -49,11 +47,6 @@ class TestBasics:
         s.set_objective(x, [-1.0])
         assert solve(s).status is LpStatus.UNBOUNDED
 
-    def test_feasibility_only_ignores_objective(self):
-        res = check_feasible(tiny_lp())
-        assert res.status is LpStatus.FEASIBLE
-        assert res.value is None
-
     def test_iteration_budget_raises_not_lies(self):
         s = LinearSystem()
         xs = s.add_variables(5, 0.0, 1.0)
@@ -61,7 +54,7 @@ class TestBasics:
             s.add_leq(xs[j:j + 2], [1.0, -1.0], 0.1)
         s.add_leq(xs[[0, 4]], [-1.0, -1.0], -0.5)
         s.set_objective(xs, np.arange(5.0) - 2.0)
-        with pytest.raises(IterationLimitError):
+        with pytest.raises(SolverError, match="pivot budget"):
             solve(s, SolverConfig(max_iterations=1))
 
     def test_declared_variable_validation(self):
@@ -147,7 +140,8 @@ class TestWitnessValidity:
             res = solve(system)
             if res.point is not None:
                 assert scaled_violation(res.point, *arrays) <= 10.0 * tol
-            res = check_feasible(system)
+            system.objective = None  # phase one alone
+            res = solve(system)
             if res.point is not None:
                 assert scaled_violation(res.point, *arrays) <= 10.0 * tol
 
@@ -203,11 +197,11 @@ class TestScipyUnknownStatus:
 
     def test_retry_settles_an_unknown_status(self):
         backend, methods = self.backend_answering([4, 2])
-        assert backend.check_feasible(tiny_lp()).status is LpStatus.INFEASIBLE
+        assert backend.solve(tiny_lp()).status is LpStatus.INFEASIBLE
         assert methods == ["highs", "highs-ipm"]
 
     def test_unknown_twice_raises(self):
         backend, methods = self.backend_answering([4, 4])
         with pytest.raises(SolverError):
-            backend.check_feasible(tiny_lp())
+            backend.solve(tiny_lp())
         assert methods == ["highs", "highs-ipm"]

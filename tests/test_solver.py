@@ -10,12 +10,13 @@ import pytest
 from possirob import (AssumptionViolation, Box, FuzzyGoal, GeneratorSpec,
                       LinearSystem, LpStatus, ModelInfeasible, ScipyBackend,
                       SimplexBackend, UncertainInstance, UncertainRow, bisect,
-                      bisect_feasibility, build_soft_nec, check_feasible,
+                      bisect_feasibility, build_soft_nec, solve,
                       generate_instance, necessity_degree, nominal_optimum,
                       solve_light_robust, solve_nec, solve_robust,
-                      solve_soft_nec, solve_soft_nec_obj, worst_case_lhs)
+                      solve_soft_nec, solve_soft_nec_obj, worst_case_lhs,
+                      load_instance)
 from possirob.solver import probe_count_bound
-from conftest import REPO_ROOT, random_instance
+from conftest import INSTANCE_DIR, REPO_ROOT, random_instance
 
 
 def step_builder(threshold: float):
@@ -234,10 +235,9 @@ class TestBisectionContracts:
             out = solve_soft_nec(inst, rho0=rho0, eps=eps)
             assert out.iterations <= bound
             goal = FuzzyGoal(out.nominal_value, rho0)
-            assert check_feasible(
-                build_soft_nec(inst, out.lambda_bar, goal)).is_feasible
+            assert solve(build_soft_nec(inst, out.lambda_bar, goal)).is_feasible
             if out.lambda_bar >= eps:
-                assert not check_feasible(
+                assert not solve(
                     build_soft_nec(inst, out.lambda_bar - eps, goal)).is_feasible
 
 
@@ -293,3 +293,41 @@ class TestSolveRobust:
         with pytest.raises(ModelInfeasible) as info:
             solve_robust(self.TIGHT)
         assert info.value.status is LpStatus.INFEASIBLE
+
+
+class SolveOnly:
+    """A backend with nothing but ``solve``, delegating to the reference engine."""
+
+    def __init__(self):
+        self.inner = SimplexBackend()
+
+    def solve(self, system, config):
+        return self.inner.solve(system, config)
+
+
+MODELS = {
+    "nominal": lambda inst, backend: nominal_optimum(inst, backend=backend),
+    "robust": lambda inst, backend: solve_robust(inst, backend=backend),
+    "light": lambda inst, backend: solve_light_robust(inst, 3.0, backend=backend),
+    "nec": lambda inst, backend: solve_nec(inst, 3.0, backend=backend),
+    "soft-nec": lambda inst, backend: solve_soft_nec(inst, 3.0, backend=backend),
+    "soft-nec-obj": lambda inst, backend: solve_soft_nec_obj(inst, backend=backend),
+}
+
+
+class TestOneMethodBackend:
+    # The models each instance admits: only soft-nec-obj and nominal take an
+    # uncertain objective, and soft-nec-obj needs one.
+    @pytest.mark.parametrize("name, model", [
+        *(("toy4.json", m) for m in MODELS if m != "soft-nec-obj"),
+        ("toy4_uncertain_obj.json", "nominal"),
+        ("toy4_uncertain_obj.json", "soft-nec-obj"),
+    ])
+    def test_outcome_equals_the_default_backend_bit_for_bit(self, name, model):
+        inst = load_instance(INSTANCE_DIR / name)
+
+        def fields(out):
+            values = out if isinstance(out, tuple) else vars(out).values()
+            return [np.asarray(v, dtype=float).tobytes() for v in values]
+
+        assert fields(MODELS[model](inst, SolveOnly())) == fields(MODELS[model](inst, None))
