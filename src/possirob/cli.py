@@ -11,11 +11,12 @@ assumption, 3 when the LP engine stops without a conclusive status.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
 from dataclasses import replace
-from typing import Any
+from typing import IO, Any
 
 import numpy as np
 
@@ -49,7 +50,12 @@ def _fmt(value: float) -> str:
     return f"{value + 0.0:.6f}"
 
 
-def _emit(doc: dict[str, Any], out_path: str | None) -> None:
+def _out_file(path: str | None):
+    """The ``--out`` file, opened before the work so a bad path costs none."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
+
+
+def _emit(doc: dict[str, Any], out: IO[str] | None) -> None:
     for key, value in doc.items():
         if isinstance(value, float):
             line = _fmt(value)
@@ -64,13 +70,12 @@ def _emit(doc: dict[str, Any], out_path: str | None) -> None:
         else:
             line = str(value)
         print(f"{key}: {line}")
-    if out_path:
+    if out is not None:
         payload = {k: (list(map(float, v)) if isinstance(v, (list, tuple, np.ndarray))
                        else v)
                    for k, v in doc.items()}
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        json.dump(payload, out, sort_keys=True, indent=2)
+        out.write("\n")
 
 
 def _backend(args: argparse.Namespace):
@@ -165,13 +170,15 @@ def _cmd_model(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     # Scenarios are drawn before the solve, so a bad count costs no solve.
     scen = sample_scenarios(inst, stream(args.seed, 1, 0), args.scenarios) if simulate else None
-    try:
-        doc = _MODELS[name](args, inst, _backend(args))
-    except ModelInfeasible as exc:
-        head = {"model": "simulate", "solved": name} if simulate else {"model": name}
-        _emit({**head, "status": exc.status.value}, args.out)
-        return EXIT_INFEASIBLE
-    _emit(_score(args, inst, doc, scen) if simulate else doc, args.out)
+    backend = _backend(args)
+    with _out_file(args.out) as out:
+        try:
+            doc = _MODELS[name](args, inst, backend)
+        except ModelInfeasible as exc:
+            head = {"model": "simulate", "solved": name} if simulate else {"model": name}
+            _emit({**head, "status": exc.status.value}, out)
+            return EXIT_INFEASIBLE
+        _emit(_score(args, inst, doc, scen) if simulate else doc, out)
     return EXIT_OK
 
 
@@ -200,11 +207,12 @@ def _cmd_combi(args: argparse.Namespace) -> int:
     oracle = (ShortestPathOracle(graph) if args.oracle == "sp"
               else SpanningTreeOracle(graph))
     row = graph.cost_row(args.gamma0, args.rho0, args.b0_bar, args.z)
-    out = solve_soft_nec_combinatorial(row, oracle, args.epsilon)
-    doc = _degree_doc("combi", out, args.epsilon, row.nominal())
-    doc["oracle"] = args.oracle
-    doc["edges"] = [int(e) for e in np.flatnonzero(out.solution > 0.5)]
-    _emit(doc, args.out)
+    with _out_file(args.out) as out:
+        solved = solve_soft_nec_combinatorial(row, oracle, args.epsilon)
+        doc = _degree_doc("combi", solved, args.epsilon, row.nominal())
+        doc["oracle"] = args.oracle
+        doc["edges"] = [int(e) for e in np.flatnonzero(solved.solution > 0.5)]
+        _emit(doc, out)
     return EXIT_OK
 
 
@@ -213,21 +221,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     n = args.n if args.n else scale["n"]
     gamma = args.gamma if args.gamma is not None else min(30, n)
     spec = GeneratorSpec(n=n, m=args.m, gamma=gamma, seed=args.seed)
-    report = run_experiment(
-        spec,
-        p_grid=scale["p_grid"],
-        instances_per_p=args.instances if args.instances else scale["instances_per_p"],
-        scenarios=args.scenarios if args.scenarios else scale["scenarios"],
-        eps=args.epsilon,
-        backend=_backend(args),
-        progress=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None,
-    )
-    csv = report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-    else:
-        sys.stdout.write(csv)
+    backend = _backend(args)
+    with _out_file(args.out) as out:
+        report = run_experiment(
+            spec,
+            p_grid=scale["p_grid"],
+            instances_per_p=args.instances if args.instances else scale["instances_per_p"],
+            scenarios=args.scenarios if args.scenarios else scale["scenarios"],
+            eps=args.epsilon,
+            backend=backend,
+            progress=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None,
+        )
+        (out or sys.stdout).write(report.to_csv())
     return EXIT_OK
 
 

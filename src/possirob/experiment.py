@@ -224,7 +224,8 @@ def run_experiment(spec: GeneratorSpec,
 
     Instances whose nominal counterpart cannot be solved are excluded from the
     averages; the per-budget exclusion count is reported.  Identical inputs
-    produce identical reports, byte for byte.
+    produce identical reports, byte for byte.  Instances are swept one at a
+    time over every budget, so one scenario batch is held at once.
     """
     if instances_per_p < 1:
         raise ValueError("need at least one instance per budget value, "
@@ -232,58 +233,63 @@ def run_experiment(spec: GeneratorSpec,
     grid = tuple(float(p) for p in (p_grid if p_grid is not None else FULL_P_GRID))
     say = progress or (lambda _msg: None)
 
-    prepared: list[tuple[UncertainInstance, np.ndarray, float] | None] = []
+    # Per budget value, the records of the instances it includes, in order.
+    records: list[list[InstanceMetrics]] = [[] for _ in grid]
     for i in range(instances_per_p):
-        inst = generate_instance(spec, index=i)
-        scen = sample_scenarios(inst, stream(spec.seed, 1, i), scenarios)
-        try:
-            c_hat, _ = nominal_optimum(inst, backend=backend)
-        except AssumptionViolation as exc:
-            say(f"instance {i} excluded: {exc}")
-            prepared.append(None)
-            continue
-        prepared.append((inst, scen, c_hat))
-    say(f"prepared {sum(1 for p in prepared if p is not None)}/{instances_per_p} instances")
+        for done, record in zip(records, _sweep_instance(spec, i, grid, scenarios, eps,
+                                                         backend, say)):
+            if record is not None:
+                done.append(record)
 
     points: list[PointSummary] = []
-    details: list[InstanceMetrics] = []
-    for p in grid:
-        sums = np.zeros(6)
-        included = 0
-        excluded = 0
-        for i, prep in enumerate(prepared):
-            if prep is None:
-                excluded += 1
-                continue
-            inst, scen, c_hat = prep
-            rho0 = p * abs(c_hat)
-            try:
-                light = solve_light_robust(inst, rho0, backend=backend)
-                soft = solve_soft_nec(inst, rho0, spec.shape, eps=eps, backend=backend)
-            except AssumptionViolation as exc:
-                say(f"p={p:.4f} instance {i} excluded: {exc}")
-                excluded += 1
-                continue
-            costs = inst.cost_nominal()
-            cost_l = float(np.dot(costs, light.solution))
-            cost_s = float(np.dot(costs, soft.solution))
-            d_l, d_s = _price(cost_l, c_hat), _price(cost_s, c_hat)
-            infeas_l, aviol_l = violation_metrics(light.solution, scen, inst)
-            infeas_s, aviol_s = violation_metrics(soft.solution, scen, inst)
-            sums += (d_l, d_s, infeas_l, infeas_s, aviol_l, aviol_s)
-            included += 1
-            details.append(InstanceMetrics(
-                p=p, index=i, nominal_value=c_hat, rho0=rho0,
-                cost_light=cost_l, cost_soft=cost_s,
-                d_light=d_l, d_soft=d_s,
-                infeas_light=infeas_l, infeas_soft=infeas_s,
-                aviol_light=aviol_l, aviol_soft=aviol_s,
-                lambda_bar_soft=soft.lambda_bar))
-        means = sums / included if included else np.full(6, float("nan"))
+    for p, done in zip(grid, records):
+        total = np.zeros(6)
+        for r in done:
+            total += (r.d_light, r.d_soft, r.infeas_light, r.infeas_soft,
+                      r.aviol_light, r.aviol_soft)
+        means = total / len(done) if done else np.full(6, float("nan"))
+        excluded = instances_per_p - len(done)
         points.append(PointSummary(p, *[float(v) for v in means], excluded))
         say(f"p={p:.4f}: d_L={means[0]:.4f} d_S={means[1]:.4f} "
             f"infeas_L={means[2]:.3f} infeas_S={means[3]:.3f} excluded={excluded}")
 
     return SimulationReport(spec=spec, instances_per_p=instances_per_p,
                             scenarios=scenarios, points=tuple(points),
-                            details=tuple(details))
+                            details=tuple(r for done in records for r in done))
+
+
+def _sweep_instance(spec: GeneratorSpec, i: int, grid: tuple[float, ...],
+                    scenarios: int, eps: float, backend: LpBackend | None,
+                    say: Callable[[str], None]) -> list[InstanceMetrics | None]:
+    """Instance ``i`` solved and scored at every budget value of ``grid``;
+    ``None`` where it is excluded."""
+    inst = generate_instance(spec, index=i)
+    scen = sample_scenarios(inst, stream(spec.seed, 1, i), scenarios)
+    try:
+        c_hat, _ = nominal_optimum(inst, backend=backend)
+    except AssumptionViolation as exc:
+        say(f"instance {i} excluded: {exc}")
+        return [None] * len(grid)
+    costs = inst.cost_nominal()
+    out: list[InstanceMetrics | None] = []
+    for p in grid:
+        rho0 = p * abs(c_hat)
+        try:
+            light = solve_light_robust(inst, rho0, backend=backend)
+            soft = solve_soft_nec(inst, rho0, spec.shape, eps=eps, backend=backend)
+        except AssumptionViolation as exc:
+            say(f"p={p:.4f} instance {i} excluded: {exc}")
+            out.append(None)
+            continue
+        cost_l = float(np.dot(costs, light.solution))
+        cost_s = float(np.dot(costs, soft.solution))
+        infeas_l, aviol_l = violation_metrics(light.solution, scen, inst)
+        infeas_s, aviol_s = violation_metrics(soft.solution, scen, inst)
+        out.append(InstanceMetrics(
+            p=p, index=i, nominal_value=c_hat, rho0=rho0,
+            cost_light=cost_l, cost_soft=cost_s,
+            d_light=_price(cost_l, c_hat), d_soft=_price(cost_s, c_hat),
+            infeas_light=infeas_l, infeas_soft=infeas_s,
+            aviol_light=aviol_l, aviol_soft=aviol_s,
+            lambda_bar_soft=soft.lambda_bar))
+    return out

@@ -11,14 +11,15 @@ confidence level each model is first written as its :class:`LevelRows`:
   budgeted worst case with its dual block, one scalar dual per row plus one
   per coefficient, which is exact for nonnegative decisions by strong
   duality;
-* the same rows also give relaxations over the decision variables alone,
-  holding some of each budgeted row's worst-case cuts.
+* the same rows also give relaxations over the decision variables alone
+  (and the light robust model's slacks), holding some of each budgeted
+  row's worst-case cuts.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -40,6 +41,7 @@ __all__ = [
     "nec_rows",
     "soft_nec_rows",
     "soft_nec_obj_rows",
+    "light_rows",
     "build_nominal",
     "build_robust",
     "build_light_robust",
@@ -313,8 +315,11 @@ class LevelRows:
     """One model's rows at a fixed level, before any dualization.
 
     Row ``i`` reads ``a_hat[i] @ x + top_sum(widths[i] * x, protection[i])
-    <= rhs[i]`` over ``x`` in ``feasible_set``; a row with protection 0 is
-    crisp.  Rows are kept in the order the model's system emits them.
+    + slack[i] @ s <= rhs[i]`` over ``x`` in ``feasible_set``; a row with
+    protection 0 is crisp.  Rows are kept in the order the model's system
+    emits them.  ``s`` are nonnegative slack variables, one per column of
+    ``slack``: a model with any minimizes their sum, and one without is a
+    feasibility model.
     """
 
     feasible_set: FeasibleSet
@@ -322,10 +327,17 @@ class LevelRows:
     widths: np.ndarray
     protection: np.ndarray
     rhs: np.ndarray
+    slack: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if self.slack is None:
+            object.__setattr__(self, "slack", np.zeros((self.rhs.size, 0)))
 
     def dualized(self) -> LinearSystem:
-        """The model's linear system: each budgeted worst case is replaced by
-        its dual block (exact for nonnegative decisions)."""
+        """The feasibility model's linear system: each budgeted worst case is
+        replaced by its dual block (exact for nonnegative decisions)."""
+        if self.slack.size:
+            raise ValueError("only a model without slack variables dualizes here")
         system, x = _decision_system(self.feasible_set)
         for a, w, k, b in zip(self.a_hat, self.widths, self.protection.tolist(),
                               self.rhs.tolist()):
@@ -333,24 +345,29 @@ class LevelRows:
         return system
 
     def relaxation(self, rows: np.ndarray, cuts: np.ndarray) -> LinearSystem:
-        """A system over the decision block alone: the feasible set, the crisp
-        rows, and for each ``k`` budgeted row ``rows[k]`` with the coefficients
-        picked by the boolean mask ``cuts[k]`` at their worst.
+        """A system over the decision block and the slacks alone: the
+        feasible set, the crisp rows, and for each ``k`` budgeted row
+        ``rows[k]`` with the coefficients picked by the boolean mask
+        ``cuts[k]`` at their worst.  The slacks follow the decision block.
 
         Every cut is implied by its row, so an infeasible relaxation proves
-        the level infeasible.  The crisp and cut rows are divided by their
-        largest absolute coefficient: on generated instances their
-        coefficients reach 100 against the bound rows' 1, and unscaled they
-        can stall the reference simplex or end its phase one at a false
-        verdict.
+        the level infeasible, and a relaxation optimum bounds the model's
+        from below.  The crisp and cut rows are divided by their largest
+        absolute coefficient: on generated instances their coefficients reach
+        100 against the bound rows' 1, and unscaled they can stall the
+        reference simplex or end its phase one at a false verdict.
         """
-        crisp = self.protection == 0
+        crisp = np.flatnonzero(self.protection == 0)
         a = np.vstack([self.a_hat[crisp], self.a_hat[rows] + self.widths[rows] * cuts])
+        a = np.hstack([a, self.slack[np.concatenate([crisp, rows])]])
         b = np.concatenate([self.rhs[crisp], self.rhs[rows]])
         scale = np.abs(a).max(axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
         system, x = _decision_system(self.feasible_set)
-        system.add_leq(x, a / scale[:, None], b / scale)
+        s = system.add_variables(self.slack.shape[1])
+        if s.size:
+            system.set_objective(s, np.ones(s.size))
+        system.add_leq(np.concatenate([x, s]), a / scale[:, None], b / scale)
         return system
 
 
@@ -462,11 +479,7 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
     single auxiliary variable, ``"sum"`` minimizes their total.  Feasible for
     any budget whenever the nominal problem is.
     """
-    if norm not in ("max", "sum"):
-        raise ValueError(f"norm must be 'max' or 'sum', got {norm!r}")
-    if not (math.isfinite(rho0) and rho0 >= 0):
-        raise ValueError(f"cost tolerance must be finite and nonnegative, got {rho0!r}")
-    _require_crisp_objective(instance, "the light robust model")
+    _check_light(instance, rho0, norm)
     system, x = _decision_system(instance.feasible_set)
     slack = system.add_variables(instance.m)
     for g, row in zip(slack, instance.rows):
@@ -482,6 +495,31 @@ def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
     else:
         system.set_objective(slack, np.ones(instance.m))
     return system
+
+
+def light_rows(instance: UncertainInstance, c_hat: float, rho0: float,
+               norm: str = "max") -> LevelRows:
+    """The rows of :func:`build_light_robust` over ``x`` and its slacks.
+
+    Each budgeted row at level 0 less its slack, then the nominal rows and
+    the cost budget ``c_hat + rho0``.  ``"max"`` gives every budgeted row one
+    shared slack ``t``, ``"sum"`` one ``g_i`` per row.
+    """
+    _check_light(instance, rho0, norm)
+    m = instance.m
+    rows = _protected(instance, 0.0) + _nominal(instance)
+    rows.append(_crisp(instance.cost_nominal(), c_hat + rho0))
+    slack = np.zeros((len(rows), 1 if norm == "max" else m))
+    slack[np.arange(m), 0 if norm == "max" else np.arange(m)] = -1.0
+    return replace(_level_rows(instance, rows), slack=slack)
+
+
+def _check_light(instance: UncertainInstance, rho0: float, norm: str) -> None:
+    if norm not in ("max", "sum"):
+        raise ValueError(f"norm must be 'max' or 'sum', got {norm!r}")
+    if not (math.isfinite(rho0) and rho0 >= 0):
+        raise ValueError(f"cost tolerance must be finite and nonnegative, got {rho0!r}")
+    _require_crisp_objective(instance, "the light robust model")
 
 
 def build_nec(instance: UncertainInstance, lam: float, goal: FuzzyGoal) -> LinearSystem:

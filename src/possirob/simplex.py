@@ -45,9 +45,18 @@ class LpStatus(str, Enum):
 
 @dataclass(frozen=True, eq=False)
 class LpResult:
+    """An LP's status, optimal value and point.
+
+    A reference optimum also carries its final basis: ``reduced_costs`` over
+    the tableau's structural and slack columns (basic ones read 0) and the
+    indices of the ``basis`` columns.  Other engines leave both unset.
+    """
+
     status: LpStatus
     value: float | None = None
     point: np.ndarray | None = None
+    reduced_costs: np.ndarray | None = None
+    basis: np.ndarray | None = None
 
     @property
     def is_feasible(self) -> bool:
@@ -228,7 +237,8 @@ class SimplexBackend:
         if status == "unbounded":
             return LpResult(LpStatus.UNBOUNDED)
         point = self._point(work, b, basis, k, lo)
-        return LpResult(LpStatus.OPTIMAL, value=system.objective_value(point), point=point)
+        return LpResult(LpStatus.OPTIMAL, value=system.objective_value(point), point=point,
+                        reduced_costs=t[-1, :-1].copy(), basis=basis)
 
     @staticmethod
     def _drive_out(t: np.ndarray, basis: np.ndarray, base: int,

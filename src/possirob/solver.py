@@ -9,7 +9,9 @@ is never probed explicitly).
 
 On the reference engine a degree model's levels are decided over the decision
 variables alone, by row generation on small relaxations; two dualized probes
-then confirm the bracket and collect the witness (see :func:`bisect`).
+then confirm the bracket and collect the witness (see :func:`bisect`).  The
+light robust LP is solved the same way, and its dualized LP runs only when
+the last relaxation cannot prove its optimum unique.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ import numpy as np
 from .fuzzy import FuzzyGoal
 from .linsys import LinearSystem
 from .models import (LevelRows, UncertainInstance, UncertainObjective, UncertainRow,
-                     build_light_robust, build_nec, build_nominal, build_robust,
-                     build_soft_nec, build_soft_nec_obj, nec_rows, soft_nec_obj_rows,
-                     soft_nec_rows, top_sum, worst_case_lhs)
-from .simplex import (DEFAULT_CONFIG, LpBackend, LpStatus, ScipyBackend, SolverConfig,
-                      SolverError, solve)
+                     _check_light, build_light_robust, build_nec, build_nominal,
+                     build_robust, build_soft_nec, build_soft_nec_obj, light_rows,
+                     nec_rows, soft_nec_obj_rows, soft_nec_rows, top_sum, worst_case_lhs)
+from .simplex import (DEFAULT_CONFIG, LpBackend, LpResult, LpStatus, ScipyBackend,
+                      SolverConfig, SolverError, solve)
 
 __all__ = [
     "AssumptionViolation",
@@ -48,6 +50,8 @@ __all__ = [
 DEFAULT_EPS = 1e-4
 # Separation rounds one level may take before its x-space verdict is given up.
 _MAX_ROUNDS = 100
+# Smallest nonbasic reduced cost that proves a relaxation optimum unique.
+_UNIQUE_MARGIN = 1e-9
 
 
 class AssumptionViolation(RuntimeError):
@@ -197,12 +201,12 @@ def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
     """Maximize ``1 - level`` over a level-monotone family of linear systems.
 
     Each level is a feasibility probe of the built system.  For a degree
-    model solved on any engine but HiGHS, whose per-call overhead outweighs
-    the smaller LPs, levels are instead decided in x-space by row generation,
-    and two dualized probes close the bracket: one at its feasible end, whose
-    point is the witness the dualized search would return, and one at its
-    highest infeasible level.  If either disagrees, or an x-space LP fails,
-    the dualized search runs instead, so the outcome is the same either way.
+    model solved on an x-space engine (see :func:`_xspace_engine`), levels
+    are instead decided by row generation, and two dualized probes close the
+    bracket: one at its feasible end, whose point is the witness the
+    dualized search would return, and one at its highest infeasible level.
+    If either disagrees, or an x-space LP fails, the dualized search runs
+    instead, so the outcome is the same either way.
     """
 
     def probe(lam: float) -> np.ndarray | None:
@@ -211,7 +215,7 @@ def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
         return system.extract_x(res.point) if res.is_feasible else None
 
     found = None
-    if isinstance(builder, _Family) and not isinstance(backend, ScipyBackend):
+    if isinstance(builder, _Family) and _xspace_engine(backend):
         found = _confirmed_xspace_bisection(builder.rows, probe, eps, incumbent,
                                             config, backend)
     witness, lam_bar, checks = found or bisect_feasibility(probe, eps, incumbent)
@@ -244,18 +248,34 @@ def _confirmed_xspace_bisection(
     return witness, hi, checks
 
 
+def _xspace_engine(backend: LpBackend | None) -> bool:
+    """Whether models are solved over ``x`` by row generation: on every
+    engine but HiGHS, whose per-call overhead outweighs the smaller LPs."""
+    return not isinstance(backend, ScipyBackend)
+
+
 def _row_generation(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
                     config: SolverConfig | None,
                     backend: LpBackend | None) -> np.ndarray | None:
-    """Decide one level over the decision variables alone.
+    """Decide one level over the decision variables alone: the point of
+    :func:`_separate`, or ``None`` once a relaxation is infeasible."""
+    relaxation, res = _separate(view, pool, config, backend)
+    return relaxation.extract_x(res.point) if res.is_feasible else None
+
+
+def _separate(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
+              config: SolverConfig | None,
+              backend: LpBackend | None) -> tuple[LinearSystem, LpResult]:
+    """Row generation over ``x`` and the view's slacks.
 
     Solves the relaxation holding the crisp rows and the cuts in ``pool``,
     evaluates each budgeted row's closed-form worst case at its point, and
     adds the top-``protection`` index set of every violated row to ``pool``
     as a mask keyed by row and set (only the coefficients move with the
     level, so the pool serves every level of one solve), until no row is
-    violated.  Returns that point, or ``None`` once a relaxation is
-    infeasible.
+    violated.  Returns the last relaxation and its result: infeasible, an
+    optimum without reduced costs (which cannot prove itself unique), or a
+    point that satisfies every row.
     """
     tol = (config or DEFAULT_CONFIG).feasibility_tolerance
     n = view.a_hat.shape[1]
@@ -263,14 +283,17 @@ def _row_generation(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
         relaxation = view.relaxation(np.array([i for i, _ in pool], dtype=np.intp),
                                      np.reshape(list(pool.values()), (-1, n)))
         res = solve(relaxation, config, backend)
-        if not res.is_feasible:
-            return None
+        if not res.is_feasible or (res.status is LpStatus.OPTIMAL
+                                   and res.reduced_costs is None):
+            return relaxation, res
         x = relaxation.extract_x(res.point)
+        slack = view.slack @ res.point[n:]
         violated = False
         for i in np.flatnonzero(view.protection > 0).tolist():
             k, b = int(view.protection[i]), float(view.rhs[i])
             spread = view.widths[i] * x
-            if float(np.dot(view.a_hat[i], x)) + top_sum(spread, k) <= b + tol * (1.0 + abs(b)):
+            lhs = float(np.dot(view.a_hat[i], x)) + top_sum(spread, k) + float(slack[i])
+            if lhs <= b + tol * (1.0 + abs(b)):
                 continue
             mask = np.zeros(n, dtype=bool)
             mask[np.argpartition(spread, n - k)[n - k:]] = True
@@ -280,8 +303,26 @@ def _row_generation(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
             pool[key] = mask
             violated = True
         if not violated:
-            return x
+            return relaxation, res
     raise SolverError(f"row generation did not settle in {_MAX_ROUNDS} rounds")
+
+
+def _unique_optimum(view: LevelRows, config: SolverConfig | None,
+                    backend: LpBackend | None) -> tuple[float, np.ndarray] | None:
+    """The optimal value and point of ``view`` by row generation, when the
+    last relaxation proves its optimum unique: every nonbasic reduced cost
+    is above ``_UNIQUE_MARGIN``.  The relaxation holds the model's feasible
+    set and its point satisfies every row, so it is then the model's one
+    optimum.  ``None`` when that proof is missing or an LP failed."""
+    try:
+        relaxation, res = _separate(view, {}, config, backend)
+    except SolverError:
+        return None
+    if res.status is not LpStatus.OPTIMAL or res.reduced_costs is None:
+        return None
+    if np.delete(res.reduced_costs, res.basis).min(initial=math.inf) <= _UNIQUE_MARGIN:
+        return None
+    return float(res.value), relaxation.extract_x(res.point)
 
 
 def solve_nec(instance: UncertainInstance, rho0: float, eps: float = DEFAULT_EPS,
@@ -322,12 +363,8 @@ def solve_soft_nec_obj(instance: UncertainInstance, eps: float = DEFAULT_EPS,
         eps, x_hat, c_hat, config, backend)
 
 
-def _optimum(instance: UncertainInstance, builder: Callable[[float], LinearSystem],
-             config: SolverConfig | None,
+def _optimum(system: LinearSystem, c_hat: float, config: SolverConfig | None,
              backend: LpBackend | None) -> OptimumOutcome:
-    # ``builder`` receives the nominal optimum, which anchors cost budgets.
-    c_hat, _ = nominal_optimum(instance, config, backend)
-    system = builder(c_hat)
     res = solve(system, config, backend)
     if res.status is not LpStatus.OPTIMAL:
         raise ModelInfeasible(res.status)
@@ -340,18 +377,29 @@ def solve_robust(instance: UncertainInstance, lam: float = 0.0,
                  backend: LpBackend | None = None) -> OptimumOutcome:
     """Cheapest solution protected against every budgeted deviation inside
     the level-``lam`` cuts (full supports at 0)."""
-    return _optimum(instance, lambda _c_hat: build_robust(instance, lam),
-                    config, backend)
+    c_hat, _ = nominal_optimum(instance, config, backend)
+    return _optimum(build_robust(instance, lam), c_hat, config, backend)
 
 
 def solve_light_robust(instance: UncertainInstance, rho0: float,
                        norm: str = "max",
                        config: SolverConfig | None = None,
                        backend: LpBackend | None = None) -> OptimumOutcome:
-    """Minimize the protection-slack norm subject to the cost budget."""
+    """Minimize the protection-slack norm subject to the cost budget.
+
+    On an x-space engine the model is first solved over ``x`` and its slacks
+    by row generation (:func:`light_rows`), and that point is returned when
+    the last relaxation proves it the unique optimum.  Otherwise the
+    dualized LP of :func:`build_light_robust` is solved.
+    """
+    _check_light(instance, rho0, norm)
+    c_hat, _ = nominal_optimum(instance, config, backend)
+    if _xspace_engine(backend):
+        found = _unique_optimum(light_rows(instance, c_hat, rho0, norm), config, backend)
+        if found is not None:
+            return OptimumOutcome(*found, nominal_value=c_hat)
     try:
-        return _optimum(instance,
-                        lambda c_hat: build_light_robust(instance, c_hat, rho0, norm),
+        return _optimum(build_light_robust(instance, c_hat, rho0, norm), c_hat,
                         config, backend)
     except ModelInfeasible as exc:
         raise AssumptionViolation(

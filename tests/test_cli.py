@@ -165,6 +165,20 @@ class TestExitCodes:
         assert "file error:" in err
         assert "Traceback" not in err
 
+    def test_an_unwritable_out_path_fails_before_the_solve(self, tmp_path, capsys):
+        code = cli.main(["nominal", "--instance", TOY4, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+
+    def test_an_unwritable_out_path_fails_before_the_sweep(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+        code = cli.main(["experiment", "--n", "3", "--gamma", "1", "--instances", "1",
+                         "--scenarios", "1", "--out", str(tmp_path)])
+        assert code == 1
+        assert calls == []
+
     def test_scipy_backend_without_scipy_exits_one(self, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "scipy.optimize", None)
         code = cli.main(["nominal", "--instance", TOY4, "--backend", "scipy"])

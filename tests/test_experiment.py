@@ -1,6 +1,8 @@
 """Instance generation, scenario sampling, violation metrics, and a small
 end-to-end sweep checked for reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,23 @@ class TestRunExperiment:
         for record in report.details:
             assert record.infeas_light <= 1.0 and record.infeas_soft <= 1.0
             assert record.aviol_light >= 0.0 and record.aviol_soft >= 0.0
+
+    def test_details_are_ordered_by_budget_then_instance(self, report):
+        assert ([(r.p, r.index) for r in report.details]
+                == [(p, i) for p in self.GRID for i in range(3)])
+
+    def test_one_scenario_batch_is_held_at_a_time(self):
+        # At n=20 and m=5, a batch of 5,000 scenarios takes 4 MB.
+        def peak(instances):
+            tracemalloc.start()
+            try:
+                run_experiment(GeneratorSpec(n=20, m=5, gamma=10, seed=0), p_grid=(0.05,),
+                               instances_per_p=instances, scenarios=5000)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(8) - peak(2) < 4_000_000
 
     def test_light_budget_binds_when_slack_is_positive(self, report):
         for record in report.details:

@@ -1,5 +1,7 @@
-"""x-space levels: the degree solves on the reference engine decide each level
-by row generation, and must return exactly what the dualized search returns."""
+"""x-space solves on the reference engine: the degree solves decide each level
+by row generation and must return exactly what the dualized search returns;
+the light robust LP must return the dualized optimum, exactly when the
+relaxation cannot prove its optimum unique."""
 
 from dataclasses import replace
 
@@ -8,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from possirob import (FuzzyGoal, GeneratorSpec, Polyhedron, SimplexBackend,
-                      SolverError, UncertainObjective, bisect_feasibility, build_nec,
-                      build_soft_nec, build_soft_nec_obj, generate_instance,
-                      nominal_optimum, solve, solve_nec, solve_soft_nec,
-                      solve_soft_nec_obj, soft_nec_rows)
+from possirob import (FuzzyGoal, GeneratorSpec, OptimumOutcome, Polyhedron,
+                      SimplexBackend, SolverError, UncertainObjective,
+                      bisect_feasibility, build_light_robust, build_nec, build_soft_nec,
+                      build_soft_nec_obj, generate_instance, light_rows,
+                      nominal_optimum, solve, solve_light_robust, solve_nec,
+                      solve_soft_nec, solve_soft_nec_obj, soft_nec_rows)
 from possirob import solver
 from conftest import random_instance
 
@@ -158,3 +161,91 @@ def test_relaxation_rows_are_scaled_to_unit_largest_coefficient(toy4_soft):
     cut = view.a_hat[0] + view.widths[0] * mask[0]
     assert a[1].tolist() == (cut / np.abs(cut).max()).tolist()
     assert b[1] == view.rhs[0] / np.abs(cut).max()
+
+
+# -- the light robust LP ---------------------------------------------------
+
+
+def dualized_light(inst, rho0, norm):
+    """The light robust outcome from the dualized LP alone."""
+    c_hat, _ = nominal_optimum(inst)
+    system = build_light_robust(inst, c_hat, rho0, norm)
+    res = solve(system)
+    return OptimumOutcome(float(res.value), system.extract_x(res.point), c_hat)
+
+
+def assert_same_optimum(out, expected):
+    assert out.value == expected.value
+    assert out.nominal_value == expected.nominal_value
+    assert out.solution.tobytes() == expected.solution.tobytes()
+
+
+class LpLog(SimplexBackend):
+    """Reference engine that records the size of every LP it solves; with
+    ``strip`` its results carry no reduced costs, as another engine's would."""
+
+    def __init__(self, strip=False):
+        self.strip = strip
+        self.sizes = []
+
+    def solve(self, system, config):
+        self.sizes.append(system.n_variables)
+        res = super().solve(system, config)
+        return replace(res, reduced_costs=None, basis=None) if self.strip else res
+
+
+def test_a_non_unique_light_optimum_is_the_dualized_one(toy4):
+    # A budget of 10 lets x = 0 pay no slack, and so does a whole face of
+    # other points: the relaxation cannot prove its optimum unique.
+    c_hat, _ = nominal_optimum(toy4)
+    assert solver._unique_optimum(light_rows(toy4, c_hat, 10.0, "max"), None, None) is None
+    assert_same_optimum(solve_light_robust(toy4, 10.0), dualized_light(toy4, 10.0, "max"))
+
+
+def test_a_unique_light_optimum_skips_the_dualized_lp(toy4):
+    backend = LpLog()
+    out = solve_light_robust(toy4, 3.0, backend=backend)
+    assert max(backend.sizes) == toy4.n + 1  # x and t: no dualized LP ran
+    expected = dualized_light(toy4, 3.0, "max")
+    assert out.value == pytest.approx(expected.value, abs=1e-12)
+    assert np.allclose(out.solution, expected.solution, rtol=0.0, atol=1e-12)
+
+
+def test_results_without_reduced_costs_take_the_dualized_lp(toy4):
+    backend = LpLog(strip=True)
+    out = solve_light_robust(toy4, 3.0, backend=backend)
+    assert_same_optimum(out, dualized_light(toy4, 3.0, "max"))
+    # The nominal LP, one relaxation, then the dualized LP.
+    assert len(backend.sizes) == 3 and backend.sizes[1] == toy4.n + 1
+
+
+def test_a_failing_light_row_generation_takes_the_dualized_lp(monkeypatch, toy4):
+    def fail(*args):
+        raise SolverError("row generation separated a cut it already holds")
+
+    monkeypatch.setattr(solver, "_separate", fail)
+    assert_same_optimum(solve_light_robust(toy4, 3.0), dualized_light(toy4, 3.0, "max"))
+
+
+@pytest.mark.parametrize("rho0, norm", [(float("inf"), "max"), (float("nan"), "max"),
+                                        (-1.0, "sum"), (1.0, "median")])
+def test_bad_light_arguments_are_rejected_before_any_lp(toy4, rho0, norm):
+    backend = LpLog()
+    with pytest.raises(ValueError):
+        solve_light_robust(toy4, rho0, norm, backend=backend)
+    assert backend.sizes == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("max", "sum")), st.booleans())
+def test_light_optima_agree_with_the_dualized_lp(seed, norm, polyhedron):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    inst = random_instance(rng, n, int(rng.integers(1, 4)))
+    if polyhedron:
+        inst = replace(inst, feasible_set=Polyhedron(n, np.eye(n), np.ones(n)))
+    rho0 = float(rng.uniform(0.0, 3.0))
+    out, expected = solve_light_robust(inst, rho0, norm), dualized_light(inst, rho0, norm)
+    assert out.nominal_value == expected.nominal_value
+    assert out.value == pytest.approx(expected.value, abs=1e-9)
+    assert np.allclose(out.solution, expected.solution, rtol=0.0, atol=1e-9)

@@ -57,6 +57,18 @@ class TestBasics:
         with pytest.raises(SolverError, match="pivot budget"):
             solve(s, SolverConfig(max_iterations=1))
 
+    def test_reference_optimum_carries_its_final_basis(self):
+        # min x - y over x, y in [0, 10] with x >= 3: x = 3 and y = 10 are
+        # nonbasic at their bounds, each with reduced cost 1.
+        s = tiny_lp()
+        y = s.add_variables(1, 0.0, 10.0)
+        s.set_objective([0, int(y[0])], [1.0, -1.0])
+        res = solve(s)
+        assert res.point.tolist() == [3.0, 10.0]
+        assert res.reduced_costs[res.basis].tolist() == [0.0] * res.basis.size
+        assert sorted(np.delete(res.reduced_costs, res.basis).tolist()) == [1.0, 1.0]
+        assert solve(LinearSystem()).reduced_costs is None  # feasibility only
+
     def test_declared_variable_validation(self):
         s = LinearSystem()
         s.add_variables(1)
@@ -175,6 +187,7 @@ class TestScipyBackendParity:
             assert ra.status == rb.status, f"trial {trial}"
             if ra.status is LpStatus.OPTIMAL:
                 assert ra.value == pytest.approx(rb.value, abs=1e-7)
+                assert rb.reduced_costs is None and rb.basis is None
 
 
 class TestScipyUnknownStatus:
