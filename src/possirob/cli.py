@@ -55,6 +55,14 @@ def _out_file(path: str | None):
     return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext()
 
 
+def _items(value: Any) -> list[int] | list[float]:
+    """A list value's items: integers when every item is one, else floats."""
+    items = list(value)
+    if all(isinstance(v, (int, np.integer)) for v in items):
+        return [int(v) for v in items]
+    return [float(v) for v in items]
+
+
 def _emit(doc: dict[str, Any], out: IO[str] | None) -> None:
     for key, value in doc.items():
         if isinstance(value, float):
@@ -62,17 +70,13 @@ def _emit(doc: dict[str, Any], out: IO[str] | None) -> None:
             if key == "epsilon" and value and float(line) == 0.0:
                 line = repr(value)  # six decimals would print the accuracy as zero
         elif isinstance(value, (list, tuple, np.ndarray)):
-            items = list(value)
-            if all(isinstance(v, (int, np.integer)) for v in items):
-                line = "[" + ", ".join(str(int(v)) for v in items) + "]"
-            else:
-                line = "[" + ", ".join(_fmt(float(v)) for v in items) + "]"
+            line = "[" + ", ".join(str(v) if isinstance(v, int) else _fmt(v)
+                                   for v in _items(value)) + "]"
         else:
             line = str(value)
         print(f"{key}: {line}")
     if out is not None:
-        payload = {k: (list(map(float, v)) if isinstance(v, (list, tuple, np.ndarray))
-                       else v)
+        payload = {k: (_items(v) if isinstance(v, (list, tuple, np.ndarray)) else v)
                    for k, v in doc.items()}
         json.dump(payload, out, sort_keys=True, indent=2)
         out.write("\n")

@@ -129,11 +129,12 @@ def sample_scenarios(instance: UncertainInstance, rng: np.random.Generator,
     """
     if count < 1:
         raise ValueError(f"need at least one scenario, got {count}")
-    a_hat = np.array([row.a_hat for row in instance.rows])
-    a_bar = np.array([row.a_bar for row in instance.rows])
-    shape = np.array([row.shape for row in instance.rows])
-    lam = rng.random((count, instance.m, instance.n))
-    u = rng.random((count, instance.m, instance.n))
+    m, n = instance.m, instance.n
+    a_hat = np.reshape([row.a_hat for row in instance.rows], (m, n))
+    a_bar = np.reshape([row.a_bar for row in instance.rows], (m, n))
+    shape = np.reshape([row.shape for row in instance.rows], (m, n))
+    lam = rng.random((count, m, n))
+    u = rng.random((count, m, n))
     half = a_bar * (1.0 - lam ** shape)
     return a_hat + (2.0 * u - 1.0) * half
 
@@ -146,7 +147,7 @@ def violation_metrics(x: Sequence[float], scenarios: np.ndarray,
     if np.any(b <= 0):
         raise ValueError("violation metrics require strictly positive bounds")
     lhs = np.asarray(scenarios, dtype=float) @ np.asarray(x, dtype=float)
-    viol = np.maximum((lhs - b) / b, 0.0).max(axis=-1)
+    viol = np.maximum((lhs - b) / b, 0.0).max(axis=-1, initial=0.0)
     return float(np.mean(viol > 0.0)), float(np.mean(viol))
 
 

@@ -7,13 +7,12 @@ confidence level each model is first written as its :class:`LevelRows`:
 * the level parameterizes how far coefficients may stray from their nominal
   values (wide cuts at level 0, nominal data at level 1), and on the relaxed
   variants how much right-hand-side and budget slack is granted;
-* the builders turn those rows into plain linear systems by replacing each
-  budgeted worst case with its dual block, one scalar dual per row plus one
-  per coefficient, which is exact for nonnegative decisions by strong
-  duality;
+* every builder turns those rows into a plain linear system by replacing
+  each budgeted worst case with its dual block, one scalar dual per row plus
+  one per coefficient, which is exact for nonnegative decisions by strong
+  duality; the light robust model's slacks go along as extra columns;
 * the same rows also give relaxations over the decision variables alone
-  (and the light robust model's slacks), holding some of each budgeted
-  row's worst-case cuts.
+  (and the slacks), holding some of each budgeted row's worst-case cuts.
 """
 
 from __future__ import annotations
@@ -333,22 +332,30 @@ class LevelRows:
         if self.slack is None:
             object.__setattr__(self, "slack", np.zeros((self.rhs.size, 0)))
 
-    def dualized(self) -> LinearSystem:
-        """The feasibility model's linear system: each budgeted worst case is
-        replaced by its dual block (exact for nonnegative decisions)."""
-        if self.slack.size:
-            raise ValueError("only a model without slack variables dualizes here")
+    def _system(self) -> tuple[LinearSystem, np.ndarray, np.ndarray]:
+        """A new system holding the decision block, the feasible set's rows and
+        the slack columns after them, minimizing the slack sum if there are any."""
         system, x = _decision_system(self.feasible_set)
-        for a, w, k, b in zip(self.a_hat, self.widths, self.protection.tolist(),
-                              self.rhs.tolist()):
-            system.add_leq(*_dual_block(system, x, a, w, k), b)
+        s = system.add_variables(self.slack.shape[1])
+        if s.size:
+            system.set_objective(s, np.ones(s.size))
+        return system, x, s
+
+    def dualized(self) -> LinearSystem:
+        """The model's linear system: each budgeted worst case is replaced by
+        its dual block (exact for nonnegative decisions)."""
+        system, x, s = self._system()
+        for a, w, k, g, b in zip(self.a_hat, self.widths, self.protection.tolist(),
+                                 self.slack, self.rhs.tolist()):
+            cols, vals = _dual_block(system, x, a, w, k)
+            system.add_leq(np.concatenate([cols, s]), np.concatenate([vals, g]), b)
         return system
 
     def relaxation(self, rows: np.ndarray, cuts: np.ndarray) -> LinearSystem:
         """A system over the decision block and the slacks alone: the
         feasible set, the crisp rows, and for each ``k`` budgeted row
         ``rows[k]`` with the coefficients picked by the boolean mask
-        ``cuts[k]`` at their worst.  The slacks follow the decision block.
+        ``cuts[k]`` at their worst.
 
         Every cut is implied by its row, so an infeasible relaxation proves
         the level infeasible, and a relaxation optimum bounds the model's
@@ -363,10 +370,7 @@ class LevelRows:
         b = np.concatenate([self.rhs[crisp], self.rhs[rows]])
         scale = np.abs(a).max(axis=1, initial=0.0)
         scale[scale == 0.0] = 1.0
-        system, x = _decision_system(self.feasible_set)
-        s = system.add_variables(self.slack.shape[1])
-        if s.size:
-            system.set_objective(s, np.ones(s.size))
+        system, x, s = self._system()
         system.add_leq(np.concatenate([x, s]), a / scale[:, None], b / scale)
         return system
 
@@ -470,48 +474,30 @@ def build_robust(instance: UncertainInstance, lam: float = 0.0) -> LinearSystem:
     return system
 
 
-def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
-                       norm: str = "max") -> LinearSystem:
+def light_rows(instance: UncertainInstance, c_hat: float, rho0: float,
+               norm: str = "max") -> LevelRows:
     """Slack-minimizing counterpart: stay nominal-feasible, pay at most
     ``c_hat + rho0``, and minimize the norm of the per-row protection slack.
 
-    ``norm`` picks the minimized aggregate: ``"max"`` bounds every slack by a
-    single auxiliary variable, ``"sum"`` minimizes their total.  Feasible for
-    any budget whenever the nominal problem is.
-    """
-    _check_light(instance, rho0, norm)
-    system, x = _decision_system(instance.feasible_set)
-    slack = system.add_variables(instance.m)
-    for g, row in zip(slack, instance.rows):
-        cols, vals = dualize_budgeted_row(system, row, 0.0, x)
-        system.add_leq(np.append(cols, g), np.append(vals, -1.0), row.rhs.base)
-        system.add_leq(x, row.nominal(), row.rhs.base)
-    system.add_leq(x, instance.cost_nominal(), c_hat + rho0)
-    if norm == "max":
-        t = system.add_variables(1)
-        system.add_leq(np.column_stack([slack, np.repeat(t, instance.m)]), [1.0, -1.0],
-                       np.zeros(instance.m))
-        system.set_objective(t, [1.0])
-    else:
-        system.set_objective(slack, np.ones(instance.m))
-    return system
-
-
-def light_rows(instance: UncertainInstance, c_hat: float, rho0: float,
-               norm: str = "max") -> LevelRows:
-    """The rows of :func:`build_light_robust` over ``x`` and its slacks.
-
-    Each budgeted row at level 0 less its slack, then the nominal rows and
-    the cost budget ``c_hat + rho0``.  ``"max"`` gives every budgeted row one
-    shared slack ``t``, ``"sum"`` one ``g_i`` per row.
+    Each budgeted row at level 0 less its slack, directly followed by its
+    nominal row, then the cost budget.  ``norm`` picks the minimized
+    aggregate: ``"max"`` gives every budgeted row one shared slack ``t``,
+    ``"sum"`` one ``g_i`` per row.  Feasible for any budget whenever the
+    nominal problem is.
     """
     _check_light(instance, rho0, norm)
     m = instance.m
-    rows = _protected(instance, 0.0) + _nominal(instance)
+    rows = [r for pair in zip(_protected(instance, 0.0), _nominal(instance)) for r in pair]
     rows.append(_crisp(instance.cost_nominal(), c_hat + rho0))
     slack = np.zeros((len(rows), 1 if norm == "max" else m))
-    slack[np.arange(m), 0 if norm == "max" else np.arange(m)] = -1.0
+    slack[np.arange(0, 2 * m, 2), 0 if norm == "max" else np.arange(m)] = -1.0
     return replace(_level_rows(instance, rows), slack=slack)
+
+
+def build_light_robust(instance: UncertainInstance, c_hat: float, rho0: float,
+                       norm: str = "max") -> LinearSystem:
+    """Slack-minimizing system of :func:`light_rows`."""
+    return light_rows(instance, c_hat, rho0, norm).dualized()
 
 
 def _check_light(instance: UncertainInstance, rho0: float, norm: str) -> None:

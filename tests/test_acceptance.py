@@ -20,6 +20,10 @@ from conftest import (INSTANCE_DIR, REPO_ROOT, brute_force_budgeted_max,
                       random_instance, random_row)
 
 DESK_SEED = 0
+# The desk sweep's CSV and the exact per-record values the degrees rest on.
+# Re-record, only when the sweep is meant to change, with
+#     PYTHONPATH=src python tests/test_acceptance.py
+DESK_GOLDEN = REPO_ROOT / "tests" / "golden" / "desk_sweep.txt"
 
 
 class _Clock:
@@ -34,13 +38,28 @@ class _Clock:
         print(f"\n{label}: PASS ({elapsed:.2f}s)")
 
 
+def _desk_run():
+    return run_experiment(GeneratorSpec(n=40, m=5, gamma=30, seed=DESK_SEED),
+                          p_grid=DESK_P_GRID, instances_per_p=20, scenarios=200,
+                          eps=1e-4)
+
+
 @pytest.fixture(scope="module")
 def desk_report():
-    spec = GeneratorSpec(n=40, m=5, gamma=30, seed=DESK_SEED)
     started = time.perf_counter()
-    report = run_experiment(spec, p_grid=DESK_P_GRID, instances_per_p=20,
-                            scenarios=200, eps=1e-4)
+    report = _desk_run()
     return report, time.perf_counter() - started
+
+
+def _desk_bytes(report) -> str:
+    return report.to_csv() + "".join(
+        f"{r.p!r} {r.index} {r.lambda_bar_soft!r} {r.cost_light!r} {r.cost_soft!r}\n"
+        for r in report.details)
+
+
+def test_desk_sweep_matches_its_recorded_bytes(desk_report):
+    report, _ = desk_report
+    assert _desk_bytes(report) == DESK_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_criterion_1_nominal_worked_example(toy4):
@@ -220,3 +239,7 @@ def test_criterion_9_byte_reproducibility(tmp_path):
     _run_cli(*micro, "--out", str(out_b))
     assert out_a.read_bytes() == out_b.read_bytes()
     clock.done("criterion 9 (byte-identical reruns across commands)")
+
+
+if __name__ == "__main__":
+    DESK_GOLDEN.write_text(_desk_bytes(_desk_run()), encoding="utf-8")

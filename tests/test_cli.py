@@ -92,6 +92,15 @@ class TestCommands:
         assert abs(float(doc["degree"]) - 0.2) <= 1e-3
         assert doc["edges"] == "[0]"
 
+    def test_combi_out_keeps_integer_lists(self, tmp_path):
+        out = tmp_path / "combi.json"
+        res = run_cli("combi", "--graph", TWO_PATH, "--oracle", "sp",
+                      "--gamma0", "1", "--rho0", "1", "--out", str(out))
+        assert res.returncode == 0
+        assert parse_doc(res.stdout)["edges"] == "[0]"
+        edges = json.loads(out.read_text())["edges"]
+        assert edges == [0] and all(type(e) is int for e in edges)
+
     def test_combi_spanning_tree(self):
         res = run_cli("combi", "--graph", TWO_PATH, "--oracle", "mst",
                       "--gamma0", "1", "--rho0", "1")
@@ -104,6 +113,18 @@ class TestCommands:
         doc = parse_doc(res.stdout)
         assert 0.0 <= float(doc["infeas"]) <= 1.0
         assert float(doc["aviol"]) >= 0.0
+
+    @pytest.mark.parametrize("model", ["nominal", "robust", "light", "nec", "soft-nec"])
+    def test_simulate_without_rows(self, model, tmp_path):
+        doc = {"n": 2, "m": 0, "c": [-1, -2], "rows": [],
+               "x_set": {"box": {"lb": 0, "ub": 1}}}
+        path = tmp_path / "no_rows.json"
+        path.write_text(json.dumps(doc))
+        res = run_cli("simulate", "--instance", str(path), "--model", model)
+        assert res.returncode == 0, res.stderr
+        doc = parse_doc(res.stdout)
+        assert doc["infeas"] == doc["aviol"] == "0.000000"
+        assert doc["solution"] == "[1.000000, 1.000000]"
 
     def test_validate_echoes_normal_form(self):
         res = run_cli("validate", "--instance", TOY4)

@@ -81,3 +81,12 @@ def test_stdout_matches_the_recorded_bytes(name, tmp_path, capsys):
     assert main([arg.format(**paths) for arg in CASES[name]]) == 0
     expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("name", ["light_max", "light_sum", "simulate_light"])
+def test_light_stdout_matches_on_highs(name, capsys):
+    # Unique optima, so HiGHS prints the reference engine's bytes.
+    pytest.importorskip("scipy")
+    assert main([*CASES[name], "--backend", "scipy"]) == 0
+    expected = (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
