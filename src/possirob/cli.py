@@ -222,7 +222,7 @@ def _cmd_combi(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scale = FULL_SCALE if args.full else DESK_SCALE
-    n = args.n if args.n else scale["n"]
+    n = args.n if args.n is not None else scale["n"]
     gamma = args.gamma if args.gamma is not None else min(30, n)
     spec = GeneratorSpec(n=n, m=args.m, gamma=gamma, seed=args.seed)
     backend = _backend(args)
@@ -230,8 +230,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         report = run_experiment(
             spec,
             p_grid=scale["p_grid"],
-            instances_per_p=args.instances if args.instances else scale["instances_per_p"],
-            scenarios=args.scenarios if args.scenarios else scale["scenarios"],
+            instances_per_p=(args.instances if args.instances is not None
+                             else scale["instances_per_p"]),
+            scenarios=args.scenarios if args.scenarios is not None else scale["scenarios"],
             eps=args.epsilon,
             backend=backend,
             progress=(lambda msg: print(msg, file=sys.stderr)) if args.verbose else None,
@@ -336,13 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full scale: n=100, 100 instances, 1000 scenarios "
                         "(default: desk scale, n=40, 20 instances, 200 scenarios)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=0, help="override the variable count")
+    p.add_argument("--n", type=int, default=None, help="override the variable count")
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--gamma", type=int, default=None,
                    help="per-row protection level (default: 30, clamped to n)")
-    p.add_argument("--instances", type=int, default=0,
+    p.add_argument("--instances", type=int, default=None,
                    help="override instances per budget value")
-    p.add_argument("--scenarios", type=int, default=0,
+    p.add_argument("--scenarios", type=int, default=None,
                    help="override scenarios per instance")
     p.add_argument("--verbose", action="store_true", help="progress on stderr")
     p.set_defaults(func=_cmd_experiment)

@@ -14,6 +14,10 @@ from numpy.typing import ArrayLike
 
 __all__ = ["LinearSystem"]
 
+# Relative margin by which a Farkas vector must refute a system; it absorbs
+# only the rounding of the check itself.
+_REFUTE_MARGIN = 1e-12
+
 
 class LinearSystem:
     """Mutable container for one ``min c.v  s.t.  A v <= b, lb <= v <= ub``.
@@ -122,6 +126,38 @@ class LinearSystem:
             return False
         a, b = self.dense()
         return bool(b.size == 0 or (a @ v - b).max() <= tol)
+
+    def refuted_by(self, y: ArrayLike) -> bool:
+        """Whether the Farkas vector ``y`` proves that no point satisfies the
+        rows and bounds.  ``y`` weighs the rows, then one row ``v[j] <=
+        upper[j]`` per finite upper bound, in column order; negative entries
+        count as 0.
+
+        Shifted by the lower bounds, every point ``x' = v - lower`` of the box
+        ``[0, upper - lower]`` that satisfies the rows has ``g @ x' <= y @ b'``,
+        with ``g = y @ A`` over the rows and bound rows and ``b'`` their
+        right-hand sides less ``A @ lower``.  Over the box ``g @ x'`` is at
+        least the sum of ``g[j] * (upper - lower)[j]`` over ``g[j] < 0``, so a
+        ``y @ b'`` below that floor, by more than rounding, leaves no point.
+        """
+        bounded = np.flatnonzero(np.isfinite(self.upper))
+        y = np.maximum(np.asarray(y, dtype=float), 0.0)
+        if y.shape != (self.n_constraints + bounded.size,):
+            return False
+        row_of, cols, vals = self.entries
+        g = np.bincount(np.concatenate([cols, bounded]),
+                        weights=np.concatenate([vals * y[row_of], y[self.n_constraints:]]),
+                        minlength=self.n_variables)
+        width = self.upper - self.lower
+        shift = np.bincount(row_of, weights=vals * self.lower[cols],
+                            minlength=self.n_constraints)
+        b = np.concatenate([self.rhs - shift, width[bounded]])
+        down = g < 0.0
+        if np.isinf(width[down]).any():
+            return False
+        floor = float(g[down] @ width[down])
+        margin = _REFUTE_MARGIN * float(np.linalg.norm(y) * np.linalg.norm(b))
+        return float(y @ b) - floor < -margin
 
     def extract_x(self, point: np.ndarray) -> np.ndarray:
         """Project a full variable vector onto the decision block."""

@@ -49,7 +49,12 @@ class LpResult:
 
     A reference optimum also carries its final basis: ``reduced_costs`` over
     the tableau's structural and slack columns (basic ones read 0) and the
-    indices of the ``basis`` columns.  Other engines leave both unset.
+    indices of the ``basis`` columns.  An ``INFEASIBLE`` from the reference
+    phase one carries that phase's reduced costs and basis: their slack
+    entries ``[k:k+m]`` (``k`` variables) are a Farkas vector y over the
+    system's rows, then one row per finite upper bound, in tableau order
+    (see :meth:`LinearSystem.refuted_by`).  Other engines, and an
+    ``INFEASIBLE`` found by re-checking the phase-one point, leave both unset.
     """
 
     status: LpStatus
@@ -212,7 +217,8 @@ class SimplexBackend:
             if status != "optimal":  # phase one is always bounded below by zero
                 raise SolverError("phase one terminated abnormally")
             if -t[-1, -1] > 10.0 * tol * (1.0 + float(b.max(initial=0.0))):
-                return LpResult(LpStatus.INFEASIBLE)
+                return LpResult(LpStatus.INFEASIBLE, reduced_costs=t[-1, :base].copy(),
+                                basis=basis)
             used = self._drive_out(t, basis, base, used, config.max_iterations)
         # Rows whose artificial could not be driven out are redundant.
         keep = basis < base

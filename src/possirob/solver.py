@@ -8,10 +8,13 @@ solve (the nominal optimizer doubles as the witness at level 1, so that level
 is never probed explicitly).
 
 On the reference engine a degree model's levels are decided over the decision
-variables alone, by row generation on small relaxations; two dualized probes
-then confirm the bracket and collect the witness (see :func:`bisect`).  The
-light robust LP is solved the same way, and its dualized LP runs only when
-the last relaxation cannot prove its optimum unique.
+variables alone, by row generation on small relaxations.  One dualized probe
+then collects the witness at the bracket's feasible end, and the Farkas
+vector of the last infeasible relaxation, checked with numpy, certifies its
+infeasible end; a second dualized probe confirms that end only when the
+certificate is missing or fails the check (see :func:`bisect`).  The light
+robust LP is solved the same way, and its dualized LP runs only when the
+last relaxation cannot prove its optimum unique.
 """
 
 from __future__ import annotations
@@ -202,11 +205,13 @@ def bisect(builder: Callable[[float], LinearSystem], eps: float = DEFAULT_EPS,
 
     Each level is a feasibility probe of the built system.  For a degree
     model solved on an x-space engine (see :func:`_xspace_engine`), levels
-    are instead decided by row generation, and two dualized probes close the
-    bracket: one at its feasible end, whose point is the witness the
-    dualized search would return, and one at its highest infeasible level.
-    If either disagrees, or an x-space LP fails, the dualized search runs
-    instead, so the outcome is the same either way.
+    are instead decided by row generation, and the bracket is closed at both
+    ends: a dualized probe at its feasible end, whose point is the witness
+    the dualized search would return, and at its highest infeasible level
+    the last relaxation's Farkas certificate, or a dualized probe when the
+    certificate is missing or does not refute the relaxation.  If a probe
+    disagrees, or an x-space LP fails, the dualized search runs instead, so
+    the outcome is the same either way.
     """
 
     def probe(lam: float) -> np.ndarray | None:
@@ -226,15 +231,20 @@ def _confirmed_xspace_bisection(
         rows: Callable[[float], LevelRows], probe: Callable[[float], np.ndarray | None],
         eps: float, incumbent: np.ndarray | None, config: SolverConfig | None,
         backend: LpBackend | None) -> tuple[np.ndarray, float, int] | None:
-    """Bisect on x-space verdicts, then confirm the bracket with ``probe``;
-    ``None`` when the confirmation fails or an x-space LP did."""
+    """Bisect on x-space verdicts, then confirm the bracket: its feasible end
+    with ``probe``, its infeasible end with the last infeasible relaxation's
+    certificate, or with ``probe`` when that certificate is missing or fails
+    :meth:`LinearSystem.refuted_by`.  ``None`` when a confirmation fails or
+    an x-space LP did."""
     pool: dict[tuple[int, bytes], np.ndarray] = {}
-    infeasible: list[float] = []
+    # The lower end only rises, so the last infeasible verdict is that end.
+    last: tuple[float, LinearSystem, LpResult] | None = None
 
     def decide(lam: float) -> np.ndarray | None:
-        point = _row_generation(rows(lam), pool, config, backend)
+        nonlocal last
+        point, relaxation, res = _row_generation(rows(lam), pool, config, backend)
         if point is None:
-            infeasible.append(lam)
+            last = lam, relaxation, res
         return point
 
     try:
@@ -242,10 +252,17 @@ def _confirmed_xspace_bisection(
     except (SolverError, AssumptionViolation):
         return None
     witness = incumbent if hi == 1.0 and incumbent is not None else probe(hi)
-    # The lower end only rises, so the last infeasible level is that end.
-    if witness is None or (infeasible and probe(infeasible[-1]) is not None):
+    if witness is None or (last is not None and not _certified(*last[1:])
+                           and probe(last[0]) is not None):
         return None
     return witness, hi, checks
+
+
+def _certified(relaxation: LinearSystem, res: LpResult) -> bool:
+    """Whether ``res`` is an infeasible verdict whose Farkas vector refutes
+    ``relaxation``."""
+    return (res.status is LpStatus.INFEASIBLE and res.reduced_costs is not None
+            and relaxation.refuted_by(res.reduced_costs[relaxation.n_variables:]))
 
 
 def _xspace_engine(backend: LpBackend | None) -> bool:
@@ -255,12 +272,14 @@ def _xspace_engine(backend: LpBackend | None) -> bool:
 
 
 def _row_generation(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],
-                    config: SolverConfig | None,
-                    backend: LpBackend | None) -> np.ndarray | None:
+                    config: SolverConfig | None, backend: LpBackend | None,
+                    ) -> tuple[np.ndarray | None, LinearSystem, LpResult]:
     """Decide one level over the decision variables alone: the point of
-    :func:`_separate`, or ``None`` once a relaxation is infeasible."""
+    :func:`_separate`, or ``None`` once a relaxation is infeasible, with the
+    last relaxation and its result."""
     relaxation, res = _separate(view, pool, config, backend)
-    return relaxation.extract_x(res.point) if res.is_feasible else None
+    return (relaxation.extract_x(res.point) if res.is_feasible else None,
+            relaxation, res)
 
 
 def _separate(view: LevelRows, pool: dict[tuple[int, bytes], np.ndarray],

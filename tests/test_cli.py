@@ -302,6 +302,20 @@ class TestExitCodes:
         assert "input error: need at least one instance" in res.stderr
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--n", "need at least one variable and one row"),
+        ("--instances", "need at least one instance per budget value"),
+        ("--scenarios", "need at least one scenario"),
+    ])
+    def test_experiment_with_a_zero_size_exits_one(self, capsys, flag, message):
+        sizes = {"--n": "3", "--instances": "1", "--scenarios": "1", flag: "0"}
+        code = cli.main(["experiment", "--gamma", "1",
+                         *[word for pair in sizes.items() for word in pair]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"input error: {message}" in captured.err
+
     def test_solver_error_exits_three(self, monkeypatch, capsys):
         class Exhausted:
             def solve(self, system, config):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from possirob import (FuzzyGoal, GeneratorSpec, OptimumOutcome, Polyhedron,
-                      SimplexBackend, SolverError, UncertainObjective,
+from possirob import (FuzzyGoal, GeneratorSpec, LinearSystem, OptimumOutcome,
+                      Polyhedron, SimplexBackend, SolverError, UncertainObjective,
                       bisect_feasibility, build_light_robust, build_nec, build_soft_nec,
                       build_soft_nec_obj, generate_instance, light_rows,
                       nominal_optimum, solve, solve_light_robust, solve_nec,
@@ -98,13 +98,34 @@ def desk_case(seed, p):
 
 # Desk sweep inputs whose unscaled x-space LPs ran the reference simplex into
 # its pivot budget.
-@pytest.mark.parametrize("seed, p", [(12118948952065092483, 0.14),
-                                     (12001338233552510781, 0.2)])
-def test_stalling_desk_inputs_match_with_two_dualized_checks(seed, p):
+STALLING_DESK = [(12118948952065092483, 0.14), (12001338233552510781, 0.2)]
+
+
+@pytest.mark.parametrize("seed, p", STALLING_DESK)
+def test_stalling_desk_inputs_match_with_one_dualized_check(seed, p):
+    # The witness probe is the one dualized LP: the infeasible end of the
+    # bracket is certified by the last relaxation's Farkas vector.
     inst, rho0, expected = desk_case(seed, p)
     backend = CountingBackend(inst.n)
     out = solve_soft_nec(inst, rho0, 1.0, eps=1e-4, backend=backend)
     assert_same(out, expected)
+    assert backend.dualized == 1
+
+
+@pytest.mark.parametrize("seed, p", STALLING_DESK)
+def test_a_failing_certificate_check_runs_the_confirming_probe(monkeypatch, seed, p):
+    inst, rho0, expected = desk_case(seed, p)
+    checked = []
+
+    def refuted_by(system, y):
+        checked.append(y)
+        return False
+
+    monkeypatch.setattr(LinearSystem, "refuted_by", refuted_by)
+    backend = CountingBackend(inst.n)
+    out = solve_soft_nec(inst, rho0, 1.0, eps=1e-4, backend=backend)
+    assert_same(out, expected)
+    assert len(checked) == 1  # the last infeasible verdict only
     assert backend.dualized == 2
 
 
@@ -117,10 +138,11 @@ def flaky_verdicts(monkeypatch, *, lie_at=None, raise_at=None):
         calls.append(view)
         if len(calls) == raise_at:
             raise SolverError("forced failure")
-        point = honest(view, pool, config, backend)
+        point, relaxation, res = honest(view, pool, config, backend)
         if len(calls) == lie_at:
-            return np.zeros(view.a_hat.shape[1]) if point is None else None
-        return point
+            # A lied "infeasible" keeps its feasible result: no certificate.
+            point = np.zeros(view.a_hat.shape[1]) if point is None else None
+        return point, relaxation, res
 
     monkeypatch.setattr(solver, "_row_generation", decide)
     return calls

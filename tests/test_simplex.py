@@ -6,9 +6,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from possirob import (LinearSystem, LpStatus, ScipyBackend, SimplexBackend,
                       SolverConfig, SolverError, solve)
+from possirob import simplex
 from possirob.linsys import scaled_violation
 
 
@@ -171,6 +174,106 @@ class TestDeterminism:
             if ra.point is not None:
                 assert ra.value == rb.value
                 assert np.array_equal(ra.point, rb.point)
+
+
+def capped_lp(cap):
+    """x in [0, 10] and y >= 0 with x >= 3 and x + y <= cap: infeasible
+    below a cap of 3."""
+    s = LinearSystem()
+    x, y = s.add_variables(1, 0.0, 10.0)[0], s.add_variables(1)[0]
+    s.add_leq([x], [-1.0], -3.0)
+    s.add_leq([x, y], [1.0, 1.0], cap)
+    return s
+
+
+def farkas(res, system):
+    return res.reduced_costs[system.n_variables:]
+
+
+class TestInfeasibilityCertificate:
+    """A reference phase-one INFEASIBLE carries a Farkas vector that
+    ``LinearSystem.refuted_by`` checks without an LP."""
+
+    def test_phase_one_infeasible_is_refuted_by_its_certificate(self):
+        s = capped_lp(2.0)
+        res = solve(s)
+        assert res.status is LpStatus.INFEASIBLE and res.basis is not None
+        y = farkas(res, s)
+        assert y.shape == (3,)  # two rows and the bound row of x
+        assert s.refuted_by(y)
+
+    def test_certificate_fails_once_the_system_is_feasible(self):
+        s = capped_lp(2.0)
+        y = farkas(solve(s), s)
+        relaxed = capped_lp(3.0)
+        assert solve(relaxed).status is LpStatus.FEASIBLE
+        assert not relaxed.refuted_by(y)
+
+    def test_negated_and_misshapen_certificates_fail(self):
+        s = capped_lp(2.0)
+        y = farkas(solve(s), s)
+        assert not s.refuted_by(-y)
+        assert not s.refuted_by(y[:2])
+        assert not s.refuted_by(np.zeros(3))
+
+    def test_negative_weights_count_at_the_far_end_of_the_box(self):
+        s = capped_lp(2.0)
+        assert s.refuted_by([1.0, 1.0, 0.0])
+        # x >= 3 alone refutes nothing: its g_x = -1 lets x reach 10.
+        assert not s.refuted_by([1.0, 0.0, 0.0])
+        t = LinearSystem()
+        z = t.add_variables(1)  # no upper bound
+        t.add_leq(z, [-1.0], -3.0)
+        t.add_leq(z, [1.0], 2.0)
+        assert t.refuted_by([1.0, 1.0])
+        # y @ b' = -2 < 0, but g_z = -0.5 sits on an unbounded column.
+        assert not t.refuted_by([1.0, 0.5])
+
+    def test_infeasible_after_the_point_check_carries_no_certificate(self, monkeypatch):
+        monkeypatch.setattr(simplex, "scaled_violation", lambda *args: 1.0)
+        res = solve(tiny_lp())  # phase one runs: x >= 3 flips its row
+        assert res.status is LpStatus.INFEASIBLE
+        assert res.reduced_costs is None and res.basis is None
+
+    def test_highs_infeasible_carries_no_certificate(self):
+        pytest.importorskip("scipy")
+        res = ScipyBackend().solve(capped_lp(2.0), SolverConfig())
+        assert res.status is LpStatus.INFEASIBLE
+        assert res.reduced_costs is None and res.basis is None
+
+
+def box_system(lo, hi, a, b):
+    s = LinearSystem()
+    x = s.add_variables(lo.size, lo, hi)
+    s.add_leq(x, a, b)
+    return s
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_certificates_refute_exactly_the_infeasible_systems(seed):
+    # Rows a, b and one more row, -(w @ a) x <= -(w @ b) - gap, whose
+    # w-weighted sum with the others reads 0 <= -gap: infeasible on any box.
+    rng = np.random.default_rng(seed)
+    k, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    lo = rng.uniform(-2.0, 1.0, k)
+    hi = lo + rng.uniform(0.5, 3.0, k)
+    a = rng.integers(-3, 4, (m, k)).astype(float)
+    b = rng.uniform(-6.0, 6.0, m)
+    w = rng.uniform(0.0, 1.0, m)
+    a = np.vstack([a, -(w @ a)])
+    b = np.append(b, -(w @ b) - rng.uniform(0.5, 2.0))
+    infeasible = box_system(lo, hi, a, b)
+    res = solve(infeasible)
+    assert res.status is LpStatus.INFEASIBLE
+    y = farkas(res, infeasible)
+    assert infeasible.refuted_by(y)
+    # The same rows around a point of the box: no vector refutes them.
+    x0 = rng.uniform(lo, hi)
+    feasible = box_system(lo, hi, a, a @ x0 + rng.uniform(0.0, 1.0, m + 1))
+    assert solve(feasible).status is LpStatus.FEASIBLE
+    for candidate in (y, rng.uniform(0.0, 1.0, y.size), -y):
+        assert not feasible.refuted_by(candidate)
 
 
 class TestScipyBackendParity:
