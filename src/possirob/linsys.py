@@ -55,11 +55,12 @@ class LinearSystem:
     def add_leq(self, cols: ArrayLike, vals: ArrayLike, rhs: ArrayLike) -> None:
         """Append one constraint ``vals[i] @ v[cols[i]] <= rhs[i]`` per entry
         of ``rhs``; a scalar ``rhs`` appends one.  ``cols`` and ``vals``
-        broadcast to one row of entries per constraint.  Zero values are dropped.
+        broadcast to one row of entries per constraint.  Zero values are dropped;
+        a value that is not finite raises ``ValueError``.
         """
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
+        rhs = _finite(np.atleast_1d(rhs), "right-hand sides")
         rows, cols = np.arange(rhs.size)[:, None], self._columns(cols, "constraint")
-        vals = np.asarray(vals, dtype=float)
+        vals = _finite(vals, "constraint coefficients")
         grid = np.zeros(np.broadcast(rows, cols, vals).shape, dtype=np.intp)
         rows, cols, vals = rows + grid, cols + grid, vals + grid
         if rows.shape[0] != rhs.size:
@@ -72,8 +73,8 @@ class LinearSystem:
         self.rhs = np.concatenate([self.rhs, rhs])
 
     def set_objective(self, cols: ArrayLike, vals: ArrayLike) -> None:
-        """Minimize ``vals @ v[cols]``."""
-        cols, vals = self._columns(cols, "objective"), np.asarray(vals, dtype=float)
+        """Minimize ``vals @ v[cols]``; ``vals`` must be finite."""
+        cols, vals = self._columns(cols, "objective"), _finite(vals, "objective coefficients")
         keep = vals != 0.0
         self.objective = np.zeros(self.n_variables)
         self.objective[cols[keep]] = vals[keep]
@@ -168,6 +169,13 @@ class LinearSystem:
         return (f"LinearSystem({self.n_variables} variables, "
                 f"{self.n_constraints} constraints, "
                 f"objective={'yes' if self.objective is not None else 'no'})")
+
+
+def _finite(values: ArrayLike, what: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must be finite")
+    return values
 
 
 def scaled_violation(point: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -5,7 +5,14 @@ system and configuration it performs the same pivots and returns the same
 point.  Pricing uses the most-negative reduced cost and switches to Bland's
 rule whenever the objective stalls, which prevents cycling on the highly
 degenerate systems the model builders produce (many rows with zero right-hand
-side).
+side).  Exact pricing ties go to the smallest variable index.
+
+The tableau is condensed (the dictionary form of Chvátal, *Linear
+Programming*, 1983): it keeps one column per nonbasic variable and none for
+the basic ones, which are unit vectors.  A pivot puts the leaving variable
+in the entering variable's column, with the arithmetic of the full tableau,
+so every stored entry has the value the full tableau gives it (a zero may
+differ in sign).
 
 Any external LP solver can be used instead by implementing the one-method
 backend interface; a ``scipy.optimize.linprog`` adapter ships here.  A system
@@ -48,13 +55,15 @@ class LpResult:
     """An LP's status, optimal value and point.
 
     A reference optimum also carries its final basis: ``reduced_costs`` over
-    the tableau's structural and slack columns (basic ones read 0) and the
-    indices of the ``basis`` columns.  An ``INFEASIBLE`` from the reference
+    the structural and slack variables (basic ones read 0) and the indices
+    of the ``basis`` variables.  An ``INFEASIBLE`` from the reference
     phase one carries that phase's reduced costs and basis: their slack
     entries ``[k:k+m]`` (``k`` variables) are a Farkas vector y over the
     system's rows, then one row per finite upper bound, in tableau order
     (see :meth:`LinearSystem.refuted_by`).  Other engines, and an
     ``INFEASIBLE`` found by re-checking the phase-one point, leave both unset.
+    ``pivots`` counts a reference result's pivots over both phases; other
+    engines leave it unset.
     """
 
     status: LpStatus
@@ -62,6 +71,7 @@ class LpResult:
     point: np.ndarray | None = None
     reduced_costs: np.ndarray | None = None
     basis: np.ndarray | None = None
+    pivots: int | None = None
 
     @property
     def is_feasible(self) -> bool:
@@ -109,18 +119,22 @@ _STALL_LIMIT = 64
 _PIVOT_TOL = 1e-7
 
 
-def _pivot(t: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    t[row] /= t[row, col]
-    column = t[:, col].copy()
+def _pivot(t: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray,
+           row: int, slot: int) -> None:
+    """Exchange ``nonbasic[slot]`` with ``basis[row]``: the leaving variable
+    takes the entering column's slot, whose column becomes its own."""
+    p = t[row, slot]
+    column = t[:, slot].copy()
     column[row] = 0.0
+    t[row] /= p
+    # The leaving variable's column was the unit vector of ``row``.
+    t[:, slot] = 0.0
+    t[row, slot] = 1.0 / p
     t -= np.outer(column, t[row])
-    # Force the pivot column to an exact unit vector to stop round-off creep.
-    t[:, col] = 0.0
-    t[row, col] = 1.0
-    basis[row] = col
+    basis[row], nonbasic[slot] = nonbasic[slot], basis[row]
 
 
-def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
+def _iterate(t: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, tol: float,
              budget: int, used: int) -> tuple[str, int]:
     """Run simplex pivots on tableau ``t`` until optimal or unbounded."""
     m = t.shape[0] - 1
@@ -129,15 +143,14 @@ def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
     last = t[-1, -1]
     while True:
         reduced = t[-1, :-1]
-        if bland:
-            candidates = np.flatnonzero(reduced < -tol)
-            if candidates.size == 0:
-                return "optimal", used
-            col = int(candidates[0])
-        else:
-            col = int(np.argmin(reduced))
-            if reduced[col] >= -tol:
-                return "optimal", used
+        best = reduced.min(initial=0.0)
+        if best >= -tol:
+            return "optimal", used
+        # The most negative reduced cost, or Bland's first one below -tol;
+        # the slots are in no order, so ties go to the smallest variable index.
+        candidates = np.flatnonzero(reduced < -tol if bland else reduced == best)
+        col = int(candidates[0] if candidates.size == 1
+                  else candidates[np.argmin(nonbasic[candidates])])
         column = t[:m, col]
         eligible = column > _PIVOT_TOL
         if not eligible.any():
@@ -161,7 +174,7 @@ def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
                 row = int(stable[np.argmin(basis[stable])])
         else:
             row = int(ties[0])
-        _pivot(t, basis, row, col)
+        _pivot(t, basis, nonbasic, row, col)
         used += 1
         if used >= budget:
             raise SolverError(f"simplex exceeded the {budget}-pivot budget")
@@ -177,11 +190,21 @@ def _iterate(t: np.ndarray, basis: np.ndarray, tol: float,
         last = current
 
 
-class SimplexBackend:
-    """Reference dense two-phase simplex over the tableau."""
+def _costs(t: np.ndarray, nonbasic: np.ndarray, size: int) -> np.ndarray:
+    """The objective row over variables ``0..size-1``, 0 on the basic ones."""
+    full = np.zeros(size)
+    slots = nonbasic < size
+    full[nonbasic[slots]] = t[-1, :-1][slots]
+    return full
 
-    # The tableau holds [structural | slack | artificial | rhs] columns and
-    # one objective row at the bottom.
+
+class SimplexBackend:
+    """Reference dense two-phase simplex over the condensed tableau."""
+
+    # Variables are numbered [structural | slack | artificial].  The tableau
+    # holds one column per nonbasic variable, ``nonbasic[j]`` in column j,
+    # then the rhs column, and one objective row at the bottom; the basic
+    # columns, unit vectors, are not stored.
     def solve(self, system: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> LpResult:
         tol = config.feasibility_tolerance
         k = system.n_variables
@@ -193,84 +216,94 @@ class SimplexBackend:
         b = np.concatenate([b0 - a0 @ lo, (hi - lo)[bounded]])
         m = a.shape[0]
 
-        work = np.hstack([a, np.eye(m)])
         flipped = b < 0
-        work[flipped] *= -1.0
         b = np.abs(b)
         art_rows = np.flatnonzero(flipped)
         n_art = art_rows.size
         base = k + m
 
-        t = np.zeros((m + 1, base + n_art + 1))
-        t[:m, :base] = work
+        # A flipped row's artificial is basic and its slack nonbasic.
+        t = np.zeros((m + 1, k + n_art + 1))
+        t[:m, :k] = a
+        t[art_rows, k + np.arange(n_art)] = 1.0
+        t[art_rows, :-1] *= -1.0
         t[:m, -1] = b
+        nonbasic = np.concatenate([np.arange(k), k + art_rows])
         basis = np.arange(k, base)
         basis[art_rows] = np.arange(base, base + n_art)
-        t[art_rows, basis[art_rows]] = 1.0
 
         used = 0
         if n_art:
-            t[-1, base:-1] = 1.0
             for i in art_rows:
                 t[-1] -= t[i]
-            status, used = _iterate(t, basis, tol, config.max_iterations, used)
+            status, used = _iterate(t, basis, nonbasic, tol, config.max_iterations, used)
             if status != "optimal":  # phase one is always bounded below by zero
                 raise SolverError("phase one terminated abnormally")
             if -t[-1, -1] > 10.0 * tol * (1.0 + float(b.max(initial=0.0))):
-                return LpResult(LpStatus.INFEASIBLE, reduced_costs=t[-1, :base].copy(),
-                                basis=basis)
-            used = self._drive_out(t, basis, base, used, config.max_iterations)
+                return LpResult(LpStatus.INFEASIBLE, reduced_costs=_costs(t, nonbasic, base),
+                                basis=basis, pivots=used)
+            used = self._drive_out(t, basis, nonbasic, base, used, config.max_iterations)
         # Rows whose artificial could not be driven out are redundant.
         keep = basis < base
-        rows = np.append(keep, True)
-        t = np.hstack([t[rows, :base], t[rows, -1:]])
-        work, b, basis = work[keep], b[keep], basis[keep]
-        point = self._point(work, b, basis, k, lo)
+        slots = nonbasic < base
+        t = t[np.ix_(np.append(keep, True), np.append(slots, True))]
+        a, flipped, b = a[keep], flipped[keep], b[keep]
+        basis, nonbasic = basis[keep], nonbasic[slots]
+        point = self._point(a, flipped, b, basis, lo)
         if scaled_violation(point, a0, b0, lo, hi) > 10.0 * tol:
-            return LpResult(LpStatus.INFEASIBLE)
+            return LpResult(LpStatus.INFEASIBLE, pivots=used)
 
         if system.objective is None:
-            return LpResult(LpStatus.FEASIBLE, point=point)
+            return LpResult(LpStatus.FEASIBLE, point=point, pivots=used)
 
-        c = np.zeros(t.shape[1])
+        c = np.zeros(base)
         c[:k] = system.objective_vector()
-        t[-1] = c
-        for i in range(t.shape[0] - 1):
-            coeff = t[-1, basis[i]]
-            if coeff != 0.0:
-                t[-1] -= coeff * t[i]
-        status, used = _iterate(t, basis, tol, config.max_iterations, used)
+        t[-1, :-1] = c[nonbasic]
+        t[-1, -1] = 0.0
+        for i in np.flatnonzero(c[basis]):
+            t[-1] -= c[basis[i]] * t[i]
+        status, used = _iterate(t, basis, nonbasic, tol, config.max_iterations, used)
         if status == "unbounded":
-            return LpResult(LpStatus.UNBOUNDED)
-        point = self._point(work, b, basis, k, lo)
+            return LpResult(LpStatus.UNBOUNDED, pivots=used)
+        point = self._point(a, flipped, b, basis, lo)
         return LpResult(LpStatus.OPTIMAL, value=system.objective_value(point), point=point,
-                        reduced_costs=t[-1, :-1].copy(), basis=basis)
+                        reduced_costs=_costs(t, nonbasic, base), basis=basis, pivots=used)
 
     @staticmethod
-    def _drive_out(t: np.ndarray, basis: np.ndarray, base: int,
+    def _drive_out(t: np.ndarray, basis: np.ndarray, nonbasic: np.ndarray, base: int,
                    used: int, budget: int) -> int:
         """Pivot zero-level artificial variables out of the basis when possible."""
         for i in np.flatnonzero(basis >= base):
-            # Prefer the largest element; the swap is degenerate anyway.
-            col = int(np.argmax(np.abs(t[i, :base])))
-            if abs(t[i, col]) > _PIVOT_TOL:
-                _pivot(t, basis, i, col)
+            # Prefer the largest element, then the smallest variable index;
+            # the swap is degenerate anyway.
+            size = np.where(nonbasic < base, np.abs(t[i, :-1]), 0.0)
+            largest = size.max(initial=0.0)
+            if largest > _PIVOT_TOL:
+                ties = np.flatnonzero(size == largest)
+                _pivot(t, basis, nonbasic, i, int(ties[np.argmin(nonbasic[ties])]))
                 used += 1
                 if used >= budget:
                     raise SolverError(f"simplex exceeded the {budget}-pivot budget")
         return used
 
     @staticmethod
-    def _point(work: np.ndarray, b: np.ndarray, basis: np.ndarray, k: int,
+    def _point(a: np.ndarray, flipped: np.ndarray, b: np.ndarray, basis: np.ndarray,
                lo: np.ndarray) -> np.ndarray:
         """The basic solution of ``basis``, solved from the original rows.
 
         The tableau's right-hand column drifts by round-off over long pivot
         runs; one solve with the basis columns does not carry that drift.
         """
-        full = np.zeros(work.shape[1])
-        full[basis] = np.maximum(np.linalg.solve(work[:, basis], b), 0.0)
-        return full[:k] + lo
+        k = lo.size
+        structural = basis < k
+        columns = np.zeros((b.size, basis.size))
+        columns[:, structural] = a[:, basis[structural]]
+        slack = np.flatnonzero(~structural)
+        columns[basis[slack] - k, slack] = 1.0
+        columns[flipped] *= -1.0
+        x = np.zeros(k)
+        x[basis[structural]] = np.maximum(np.linalg.solve(columns, b), 0.0)[structural]
+        return x + lo
 
 
 # -- scipy adapter -----------------------------------------------------

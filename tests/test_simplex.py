@@ -82,6 +82,54 @@ class TestBasics:
         with pytest.raises(ValueError):
             s.add_leq([[0], [0]], [1.0], [0.0])  # two rows of entries, one bound
 
+    # Each of these once solved: <= nan and <= -inf as FEASIBLE, and a NaN
+    # objective as OPTIMAL with value nan.
+    def test_nan_right_hand_side_is_rejected(self):
+        s = LinearSystem()
+        x = s.add_variables(2)
+        with pytest.raises(ValueError, match="finite"):
+            s.add_leq(x, [1.0, 1.0], float("nan"))
+        assert s.n_constraints == 0
+
+    def test_infinite_right_hand_side_or_coefficient_is_rejected(self):
+        s = LinearSystem()
+        x = s.add_variables(2)
+        with pytest.raises(ValueError, match="finite"):
+            s.add_leq(x, [1.0, 1.0], -np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            s.add_leq(x, [1.0, np.inf], 1.0)
+        assert s.n_constraints == 0
+
+    def test_nan_objective_is_rejected(self):
+        s = tiny_lp()
+        with pytest.raises(ValueError, match="finite"):
+            s.set_objective([0], [float("nan")])
+        assert solve(s).value == pytest.approx(3.0, abs=1e-9)
+
+    def test_objective_over_no_nonbasic_column(self):
+        # No variables: every tableau column is basic, so the optimum is
+        # read without a pricing step.
+        s = LinearSystem()
+        s.add_leq(np.zeros((1, 0), dtype=int), np.zeros((1, 0)), 5.0)
+        s.set_objective([], [])
+        res = solve(s)
+        assert res.status is LpStatus.OPTIMAL and res.value == 0.0
+        assert res.reduced_costs.tolist() == [0.0] and res.basis.tolist() == [0]
+
+
+class TestPivotCount:
+    def test_reference_results_count_their_pivots(self):
+        assert solve(tiny_lp()).pivots == 1  # x enters for the artificial of x >= 3
+        assert solve(LinearSystem()).pivots == 0
+
+    def test_phase_one_infeasible_counts_its_pivots(self):
+        res = solve(capped_lp(2.0))
+        assert res.status is LpStatus.INFEASIBLE and res.pivots == 1
+
+    def test_highs_results_carry_no_count(self):
+        pytest.importorskip("scipy")
+        assert ScipyBackend().solve(tiny_lp(), SolverConfig()).pivots is None
+
 
 def random_system(rng: np.random.Generator) -> LinearSystem:
     """Box-bounded system so the feasible region, when nonempty, has vertices."""
