@@ -2,11 +2,12 @@
 
 For a fixed confidence level the worst-case cost of a 0/1 vector is its
 nominal cost plus the sum of its ``protection`` largest cut half-widths.
-Minimizing that over the feasible set reduces to ``n + 1`` calls of a
-deterministic single-objective oracle: one per candidate threshold (zero and
-every half-width), each on costs inflated by the part of the half-width that
-exceeds the threshold.  Every candidate solution is re-scored by direct
-evaluation, so the reported value is attained by the reported vector.
+Minimizing that over the feasible set reduces to calls of a deterministic
+single-objective oracle, one per distinct candidate threshold (zero and every
+half-width), so at most ``n + 1``, each on costs inflated by the part of the
+half-width that exceeds the threshold.  Every candidate solution is re-scored
+by direct evaluation, so the reported value is attained by the reported
+vector.
 
 The soft degree-maximizing solve wraps this test in the same level bisection
 used on the linear path: a level is feasible when the min-max cost fits under
@@ -24,7 +25,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .fuzzy import FuzzyGoal, _check_level
-from .models import UncertainObjective, worst_case_lhs
+from .models import UncertainObjective, top_sum, worst_case_lhs
 from .solver import SolveOutcome, bisect_feasibility
 
 __all__ = [
@@ -58,8 +59,10 @@ def minmax_budgeted(row: UncertainObjective, lam: float,
                     oracle: CombinatorialOracle) -> tuple[float, np.ndarray]:
     """Minimize the level-``lam`` worst-case cost over the oracle's feasible set.
 
-    Performs exactly ``n + 1`` oracle calls.  Threshold ties resolve toward
-    the smaller threshold; value ties keep the earlier candidate.
+    Performs one oracle call per distinct threshold, at most ``n + 1``: a
+    repeated threshold gives the same costs, hence the same vector, which
+    could never beat the earlier one.  Threshold ties resolve toward the
+    smaller threshold; value ties keep the earlier candidate.
     """
     _check_level(lam)
     c_hat = row.nominal()
@@ -68,11 +71,18 @@ def minmax_budgeted(row: UncertainObjective, lam: float,
     thresholds = thresholds[np.argsort(thresholds, kind="stable")]
     best_value = math.inf
     best_x: np.ndarray | None = None
+    previous = None
     for theta in thresholds:
+        if theta == previous:
+            continue
+        previous = theta
         adjusted = c_hat + np.maximum(widths - theta, 0.0)
         x, _ = oracle.minimize(adjusted)
         x = np.asarray(x, dtype=float)
-        value = worst_case_lhs(row, x, lam)
+        if x.shape != c_hat.shape:
+            raise ValueError(f"oracle returned shape {x.shape}, expected {c_hat.shape}")
+        # worst_case_lhs, with the nominal costs and widths built once per probe
+        value = float(np.dot(c_hat, x)) + top_sum(widths * x, row.protection)
         if value < best_value:
             best_value = value
             best_x = x
@@ -204,9 +214,11 @@ def load_graph(path: str) -> EdgeListGraph:
         return parse_graph(fh.read())
 
 
-def _check_nonnegative(costs: np.ndarray) -> None:
-    if np.any(costs < 0):
-        raise ValueError("bundled graph oracles require nonnegative costs")
+def _checked_costs(costs: np.ndarray) -> np.ndarray:
+    costs = np.asarray(costs, dtype=float)
+    if not (np.isfinite(costs).all() and (costs >= 0.0).all()):
+        raise ValueError("bundled graph oracles require finite nonnegative costs")
+    return costs
 
 
 class ExplicitSetOracle:
@@ -237,61 +249,45 @@ class ShortestPathOracle:
     def __init__(self, graph: EdgeListGraph) -> None:
         self.graph = graph
         self.calls = 0
-        self._out: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-        for e, (tail, _head) in enumerate(graph.edges):
-            self._out[tail].append(e)
+        # (edge, head) pairs leaving each vertex, in edge order
+        self._out: list[list[tuple[int, int]]] = [[] for _ in range(graph.n_vertices)]
+        for e, (tail, head) in enumerate(graph.edges):
+            self._out[tail].append((e, head))
 
     def minimize(self, costs: np.ndarray) -> tuple[np.ndarray, float]:
         self.calls += 1
-        costs = np.asarray(costs, dtype=float)
-        _check_nonnegative(costs)
+        costs = _checked_costs(costs)
+        cost = costs.tolist()
         g = self.graph
-        dist = np.full(g.n_vertices, math.inf)
-        parent_edge = np.full(g.n_vertices, -1, dtype=int)
-        dist[g.source] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, g.source)]
-        done = np.zeros(g.n_vertices, dtype=bool)
+        out, source, target = self._out, g.source, g.target
+        push, pop = heapq.heappush, heapq.heappop
+        dist = [math.inf] * g.n_vertices
+        parent_edge = [-1] * g.n_vertices
+        done = [False] * g.n_vertices
+        dist[source] = 0.0
+        heap: list[tuple[float, int]] = [(0.0, source)]
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = pop(heap)
             if done[u]:
                 continue
             done[u] = True
-            if u == g.target:
+            if u == target:
                 break
-            for e in self._out[u]:
-                v = g.edges[e][1]
-                nd = d + costs[e]
+            for e, v in out[u]:
+                nd = d + cost[e]
                 if nd < dist[v]:
                     dist[v] = nd
                     parent_edge[v] = e
-                    heapq.heappush(heap, (nd, v))
-        if not math.isfinite(dist[g.target]):
-            raise ValueError(f"target {g.target} unreachable from {g.source}")
+                    push(heap, (nd, v))
+        if not math.isfinite(dist[target]):
+            raise ValueError(f"target {target} unreachable from {source}")
         x = np.zeros(g.n_edges)
-        v = g.target
-        while v != g.source:
-            e = int(parent_edge[v])
+        v = target
+        while v != source:
+            e = parent_edge[v]
             x[e] = 1.0
             v = g.edges[e][0]
         return x, float(np.dot(costs, x))
-
-
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
 
 
 class SpanningTreeOracle:
@@ -303,20 +299,28 @@ class SpanningTreeOracle:
 
     def minimize(self, costs: np.ndarray) -> tuple[np.ndarray, float]:
         self.calls += 1
-        costs = np.asarray(costs, dtype=float)
-        _check_nonnegative(costs)
+        costs = _checked_costs(costs)
         g = self.graph
-        order = np.argsort(costs, kind="stable")
-        uf = _UnionFind(g.n_vertices)
+        edges = g.edges
+        # union-find over one parent list, path halving, the tail's root kept
+        parent = list(range(g.n_vertices))
         x = np.zeros(g.n_edges)
         picked = 0
-        for e in order:
-            tail, head = g.edges[int(e)]
-            if uf.union(tail, head):
-                x[int(e)] = 1.0
-                picked += 1
-                if picked == g.n_vertices - 1:
-                    break
+        for e in np.argsort(costs, kind="stable").tolist():
+            a, b = edges[e]
+            while parent[a] != a:
+                parent[a] = parent[parent[a]]
+                a = parent[a]
+            while parent[b] != b:
+                parent[b] = parent[parent[b]]
+                b = parent[b]
+            if a == b:
+                continue
+            parent[b] = a
+            x[e] = 1.0
+            picked += 1
+            if picked == g.n_vertices - 1:
+                break
         if picked != g.n_vertices - 1:
             raise ValueError("graph is not connected; no spanning tree exists")
         return x, float(np.dot(costs, x))

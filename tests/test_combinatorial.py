@@ -1,5 +1,6 @@
-"""Threshold enumeration against subset brute force, bundled graph oracles
-against networkx, and the degree solve on the two-route example."""
+"""Threshold enumeration against subset brute force and against the full
+``n + 1`` loop, bundled graph oracles against networkx, and the degree solve
+on the two-route example."""
 
 import math
 
@@ -26,6 +27,39 @@ def two_path_row(protection: int, rho0: float = 0.0, slack_bar: float = 0.0):
     return TWO_PATH.cost_row(protection, rho0, slack_bar)
 
 
+def random_graph(rng, n_vertices=6, extra_edges=8):
+    # spanning chain keeps everything connected and the target reachable
+    edges = [(i, i + 1) for i in range(n_vertices - 1)]
+    while len(edges) < n_vertices - 1 + extra_edges:
+        a, b = rng.integers(0, n_vertices, size=2)
+        if a != b:
+            edges.append((int(a), int(b)))
+    m = len(edges)
+    return EdgeListGraph(n_vertices, tuple(edges),
+                         tuple(rng.uniform(0.0, 10.0, m)),
+                         tuple(rng.uniform(0.0, 5.0, m)),
+                         source=0, target=n_vertices - 1)
+
+
+def distinct_thresholds(row, lam: float) -> int:
+    return len({0.0, *row.half_widths(lam).tolist()})
+
+
+def full_enumeration(row, lam: float, oracle):
+    """One oracle call per threshold, repeated thresholds included."""
+    c_hat = row.nominal()
+    widths = row.half_widths(lam)
+    thresholds = np.sort(np.concatenate([[0.0], widths]), kind="stable")
+    best_value, best_x = math.inf, None
+    for theta in thresholds:
+        x, _ = oracle.minimize(c_hat + np.maximum(widths - theta, 0.0))
+        x = np.asarray(x, dtype=float)
+        value = worst_budgeted_cost(row, x, lam)
+        if value < best_value:
+            best_value, best_x = value, x
+    return best_value, best_x
+
+
 class TestMinmaxBudgeted:
     def test_two_route_example(self):
         oracle = ExplicitSetOracle([PATH_A, PATH_BC])
@@ -47,7 +81,7 @@ class TestMinmaxBudgeted:
         assert value == 4.0
         assert np.array_equal(x, PATH_BC)
 
-    def test_exactly_n_plus_one_oracle_calls(self):
+    def test_one_oracle_call_per_distinct_threshold(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(1, 7))
@@ -56,9 +90,27 @@ class TestMinmaxBudgeted:
             row = UncertainObjective.from_arrays(
                 rng.uniform(0, 5, n), rng.uniform(0, 3, n),
                 int(rng.integers(0, n + 1)))
+            lam = float(rng.uniform(0, 1))
             before = oracle.calls
-            minmax_budgeted(row, float(rng.uniform(0, 1)), oracle)
-            assert oracle.calls - before == n + 1
+            minmax_budgeted(row, lam, oracle)
+            assert oracle.calls - before == distinct_thresholds(row, lam)
+
+    def test_tied_widths_take_fewer_than_n_plus_one_calls(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n = int(rng.integers(4, 9))
+            candidates = [(rng.random(n) < 0.5).astype(float) for _ in range(4)]
+            oracle = ExplicitSetOracle(candidates)
+            levels = rng.choice([1.0, 2.5, 4.0], size=int(rng.integers(2, 4)), replace=False)
+            row = UncertainObjective.from_arrays(
+                rng.uniform(0, 5, n), rng.choice(levels, size=n),
+                int(rng.integers(0, n + 1)))
+            lam = float(rng.uniform(0, 0.9))
+            before = oracle.calls
+            minmax_budgeted(row, lam, oracle)
+            calls = oracle.calls - before
+            assert calls == distinct_thresholds(row, lam)
+            assert calls < n + 1
 
     def test_exact_against_brute_force(self):
         rng = np.random.default_rng(17)
@@ -76,6 +128,38 @@ class TestMinmaxBudgeted:
                 slow_value, _ = brute_force_minmax(row, lam, candidates)
                 assert fast_value == slow_value, f"trial {trial} lam {lam}"
                 assert fast_value == worst_budgeted_cost(row, fast_x, lam)
+
+
+class TestSameBitsAsTheFullEnumeration:
+    """Skipping repeated thresholds returns the bits of the ``n + 1`` loop,
+    on tied nominal costs, widths from a small set and mixed shapes."""
+
+    @staticmethod
+    def tied_row(rng, n):
+        return UncertainObjective(
+            tuple(rng.choice([1.0, 2.0, 3.0], size=n)),
+            tuple(rng.choice([0.0, 1.5, 4.0], size=n)),
+            tuple(rng.choice([0.5, 1.0, 2.0], size=n)),
+            int(rng.integers(0, n + 1)))
+
+    @pytest.mark.parametrize("kind", ["explicit", "path", "tree"])
+    def test_same_value_and_vector(self, kind):
+        rng = np.random.default_rng(["explicit", "path", "tree"].index(kind))
+        for trial in range(40):
+            if kind == "explicit":
+                n = int(rng.integers(1, 9))
+                oracle = ExplicitSetOracle(
+                    [(rng.random(n) < 0.5).astype(float) for _ in range(6)])
+            else:
+                graph = random_graph(rng, int(rng.integers(2, 7)), int(rng.integers(0, 8)))
+                n = graph.n_edges
+                oracle = (ShortestPathOracle if kind == "path" else SpanningTreeOracle)(graph)
+            row = self.tied_row(rng, n)
+            for lam in (0.0, float(rng.uniform(0, 1)), 0.5, 1.0):
+                fast_value, fast_x = minmax_budgeted(row, lam, oracle)
+                slow_value, slow_x = full_enumeration(row, lam, oracle)
+                assert (fast_value, fast_x.tobytes()) == (slow_value, slow_x.tobytes()), \
+                    f"trial {trial} lam {lam}"
 
 
 class TestBruteForce:
@@ -162,24 +246,11 @@ class TestSolveCombinatorial:
 
 
 class TestGraphOracles:
-    def random_graph(self, rng, n_vertices=6, extra_edges=8):
-        # spanning chain keeps everything connected and the target reachable
-        edges = [(i, i + 1) for i in range(n_vertices - 1)]
-        while len(edges) < n_vertices - 1 + extra_edges:
-            a, b = rng.integers(0, n_vertices, size=2)
-            if a != b:
-                edges.append((int(a), int(b)))
-        m = len(edges)
-        return EdgeListGraph(n_vertices, tuple(edges),
-                             tuple(rng.uniform(0.0, 10.0, m)),
-                             tuple(rng.uniform(0.0, 5.0, m)),
-                             source=0, target=n_vertices - 1)
-
     def test_shortest_path_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(8)
         for _ in range(25):
-            graph = self.random_graph(rng)
+            graph = random_graph(rng)
             costs = np.asarray(graph.c_hat)
             x, value = ShortestPathOracle(graph).minimize(costs)
             g = nx.MultiDiGraph()
@@ -194,7 +265,7 @@ class TestGraphOracles:
         nx = pytest.importorskip("networkx")
         rng = np.random.default_rng(9)
         for _ in range(25):
-            graph = self.random_graph(rng)
+            graph = random_graph(rng)
             costs = np.asarray(graph.c_hat)
             x, value = SpanningTreeOracle(graph).minimize(costs)
             assert x.sum() == graph.n_vertices - 1
@@ -211,6 +282,16 @@ class TestGraphOracles:
             oracle.minimize(np.array([-1.0, 1.0, 1.0]))
         with pytest.raises(ValueError):
             SpanningTreeOracle(TWO_PATH).minimize(np.array([-1.0, 1.0, 1.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_costs_rejected(self, bad):
+        for oracle in (ShortestPathOracle(TWO_PATH), SpanningTreeOracle(TWO_PATH)):
+            for e in range(TWO_PATH.n_edges):
+                costs = np.ones(TWO_PATH.n_edges)
+                costs[e] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    oracle.minimize(costs)
 
     def test_unreachable_target_rejected(self):
         graph = EdgeListGraph(3, ((0, 1),), (1.0,), (0.0,), source=0, target=2)
