@@ -11,7 +11,12 @@ vector.
 
 The soft degree-maximizing solve wraps this test in the same level bisection
 used on the linear path: a level is feasible when the min-max cost fits under
-the goal value plus the graded budget and violation slacks.
+the goal value plus the graded budget and violation slacks.  A bisection
+verdict only needs to know whether some candidate fits, so it walks the
+Lee & Kwon subset of the thresholds, at most ``ceil((n - protection) / 2) + 2``
+of them, and stops at the first candidate that fits; only a miss within
+rounding of the budget scores the other thresholds too.  The witness comes
+from one full enumeration at the bracketed level.
 """
 
 from __future__ import annotations
@@ -55,6 +60,30 @@ class CombinatorialOracle(Protocol):
 worst_budgeted_cost = worst_case_lhs
 
 
+# A verdict whose best reduced-set score misses the budget by at most this
+# share of the score's absolute terms, sum |c_hat| + sum widths, is decided
+# again on every distinct threshold.  The scores of the reduced and the full
+# enumeration differ only by the rounding of sums of n floats, far below it.
+_GUARD_BAND = 1e-9
+
+
+def _ascending_distinct(thresholds: np.ndarray) -> list[float]:
+    """Sorted thresholds without repeats: a repeat gives the same costs."""
+    ordered = np.sort(thresholds, kind="stable").tolist()
+    return [t for i, t in enumerate(ordered) if i == 0 or t != ordered[i - 1]]
+
+
+def _candidate(oracle: CombinatorialOracle, c_hat: np.ndarray, widths: np.ndarray,
+               protection: int, theta: float) -> tuple[float, np.ndarray]:
+    """The oracle's vector on the costs inflated above ``theta``, with its
+    worst-case cost (``worst_case_lhs`` on the probe's costs and widths)."""
+    x, _ = oracle.minimize(c_hat + np.maximum(widths - theta, 0.0))
+    x = np.asarray(x, dtype=float)
+    if x.shape != c_hat.shape:
+        raise ValueError(f"oracle returned shape {x.shape}, expected {c_hat.shape}")
+    return float(np.dot(c_hat, x)) + top_sum(widths * x, protection), x
+
+
 def minmax_budgeted(row: UncertainObjective, lam: float,
                     oracle: CombinatorialOracle) -> tuple[float, np.ndarray]:
     """Minimize the level-``lam`` worst-case cost over the oracle's feasible set.
@@ -67,27 +96,53 @@ def minmax_budgeted(row: UncertainObjective, lam: float,
     _check_level(lam)
     c_hat = row.nominal()
     widths = row.half_widths(lam)
-    thresholds = np.concatenate([[0.0], widths])
-    thresholds = thresholds[np.argsort(thresholds, kind="stable")]
     best_value = math.inf
     best_x: np.ndarray | None = None
-    previous = None
-    for theta in thresholds:
-        if theta == previous:
-            continue
-        previous = theta
-        adjusted = c_hat + np.maximum(widths - theta, 0.0)
-        x, _ = oracle.minimize(adjusted)
-        x = np.asarray(x, dtype=float)
-        if x.shape != c_hat.shape:
-            raise ValueError(f"oracle returned shape {x.shape}, expected {c_hat.shape}")
-        # worst_case_lhs, with the nominal costs and widths built once per probe
-        value = float(np.dot(c_hat, x)) + top_sum(widths * x, row.protection)
+    for theta in _ascending_distinct(np.concatenate([[0.0], widths])):
+        value, x = _candidate(oracle, c_hat, widths, row.protection, theta)
         if value < best_value:
             best_value = value
             best_x = x
     assert best_x is not None
     return best_value, best_x
+
+
+def _fits(row: UncertainObjective, lam: float, oracle: CombinatorialOracle,
+          budget: float) -> bool:
+    """Whether ``minmax_budgeted(row, lam, oracle)[0] <= budget``.
+
+    With the widths sorted as d_1 >= ... >= d_n and d_{n+1} = 0, the
+    thresholds d_l for l in {protection, protection + 2, ...}, l <= n, and
+    d_{n+1} reach the optimal value (Lee & Kwon, 4OR 12, 2014): for a fixed
+    vector the worst case is convex and piecewise linear in the threshold,
+    its integer slope drops by at most 1 at each d_l and is positive above
+    d_protection.  They are walked in ascending order and the first fitting
+    candidate decides.  When none fits but the best misses by no more than
+    the rounding guard band, the remaining thresholds are scored as well.
+    """
+    c_hat = row.nominal()
+    widths = row.half_widths(lam)
+    gamma = row.protection
+    d = np.append(np.sort(widths)[::-1], 0.0)
+    if gamma == 0:
+        reduced = d[:1]  # the costs are c_hat
+    elif gamma == row.n:
+        reduced = d[-1:]  # zero: the costs are c_hat + widths
+    else:
+        reduced = np.append(d[gamma - 1:-1:2], 0.0)
+    tried = _ascending_distinct(reduced)
+    best = math.inf
+    for theta in tried:
+        value, _ = _candidate(oracle, c_hat, widths, gamma, theta)
+        if value <= budget:
+            return True
+        best = min(best, value)
+    guard = _GUARD_BAND * (float(np.abs(c_hat).sum()) + float(widths.sum()))
+    if best - budget > guard:
+        return False
+    skip = set(tried)
+    return any(_candidate(oracle, c_hat, widths, gamma, theta)[0] <= budget
+               for theta in _ascending_distinct(d) if theta not in skip)
 
 
 def brute_force_minmax(row: UncertainObjective, lam: float,
@@ -125,17 +180,26 @@ def solve_soft_nec_combinatorial(row: UncertainObjective, oracle: CombinatorialO
 
     Seeds with the nominal-cost optimum (the level-1 witness), then bisects:
     a level is feasible when the min-max worst-case cost stays within the
-    nominal optimum plus the graded goal and slack allowances.
+    nominal optimum plus the graded goal and slack allowances.  Each verdict
+    calls the oracle on the reduced thresholds until a candidate fits; the
+    witness at the bracketed level comes from one ``minmax_budgeted`` call,
+    the vector every probe of the full enumeration would have kept.
     """
     x_hat, c_hat = oracle.minimize(row.nominal())
     x_hat = np.asarray(x_hat, dtype=float)
     c_hat = float(c_hat)
 
     def probe(lam: float) -> np.ndarray | None:
-        value, x = minmax_budgeted(row, lam, oracle)
-        return x if value <= row.budget(c_hat, lam) else None
+        # any non-None marks a feasible level; the witness is built below
+        return x_hat if _fits(row, lam, oracle, row.budget(c_hat, lam)) else None
 
-    witness, lam_bar, checks = bisect_feasibility(probe, eps, incumbent=x_hat)
+    _, lam_bar, checks = bisect_feasibility(probe, eps, incumbent=x_hat)
+    if lam_bar == 1.0:
+        return SolveOutcome(x_hat, lam_bar, c_hat, checks)
+    value, witness = minmax_budgeted(row, lam_bar, oracle)
+    if value > row.budget(c_hat, lam_bar):
+        raise ValueError("the oracle answered the same costs with a different "
+                         "vector; it must be deterministic")
     return SolveOutcome(witness, lam_bar, c_hat, checks)
 
 
@@ -233,6 +297,8 @@ class ExplicitSetOracle:
     def minimize(self, costs: np.ndarray) -> tuple[np.ndarray, float]:
         self.calls += 1
         costs = np.asarray(costs, dtype=float)
+        if not np.isfinite(costs).all():
+            raise ValueError("oracle costs must be finite")
         best_x = self._candidates[0]
         best_value = float(np.dot(costs, best_x))
         for cand in self._candidates[1:]:

@@ -7,6 +7,8 @@ three-value set), or tied together with tied nominal costs, so the recordings
 pin how Dijkstra and Kruskal break ties, not only the optimal values.
 ``tests/golden/combi_grid.json`` holds ``repr(lambda_bar)``, the bisection's
 ``iterations``, ``repr(nominal_value)`` and the witness's edge indices.
+The total number of oracle calls over the cases is pinned too: it does not
+depend on the machine.
 Re-record them, only when the answers are meant to change, with
 
     PYTHONPATH=src python tests/test_combi_grid.py
@@ -67,16 +69,25 @@ def _cases():
                 yield f"k{k}/{kind}/{i}/{variant}", graph, kind, row
 
 
-def answers() -> dict[str, dict]:
-    out = {}
+# 18,444 when every verdict enumerated each distinct threshold; the reduced
+# thresholds with the stop at the first fit, then one full enumeration at
+# the bracketed level, make 7,381.
+ORACLE_CALLS = 7381
+
+
+def _solved():
+    """``(name, outcome, oracle calls)`` for every recorded case."""
     for name, graph, kind, row in _cases():
         oracle = ShortestPathOracle(graph) if kind == "sp" else SpanningTreeOracle(graph)
-        result = solve_soft_nec_combinatorial(row, oracle, EPS)
-        out[name] = {"lambda_bar": repr(result.lambda_bar),
-                     "iterations": result.iterations,
-                     "nominal_value": repr(result.nominal_value),
-                     "witness": np.flatnonzero(result.solution).tolist()}
-    return out
+        yield name, solve_soft_nec_combinatorial(row, oracle, EPS), oracle.calls
+
+
+def answers() -> dict[str, dict]:
+    return {name: {"lambda_bar": repr(result.lambda_bar),
+                   "iterations": result.iterations,
+                   "nominal_value": repr(result.nominal_value),
+                   "witness": np.flatnonzero(result.solution).tolist()}
+            for name, result, _ in _solved()}
 
 
 def test_every_grid_case_matches_its_recorded_answer():
@@ -85,6 +96,10 @@ def test_every_grid_case_matches_its_recorded_answer():
     assert sorted(current) == sorted(recorded)
     changed = [name for name in current if current[name] != recorded[name]]
     assert changed == []
+
+
+def test_total_oracle_calls_over_the_recorded_cases():
+    assert sum(calls for _, _, calls in _solved()) == ORACLE_CALLS
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Threshold enumeration against subset brute force and against the full
-``n + 1`` loop, bundled graph oracles against networkx, and the degree solve
-on the two-route example."""
+``n + 1`` loop, the reduced-threshold verdict against the enumeration,
+bundled graph oracles against networkx, and the degree solve on the
+two-route example."""
 
 import math
 
@@ -11,6 +12,8 @@ from possirob import (EdgeListGraph, ExplicitSetOracle, FuzzyGoal,
                       ShortestPathOracle, SpanningTreeOracle, UncertainObjective,
                       brute_force_minmax, minmax_budgeted, parse_graph,
                       solve_soft_nec_combinatorial, worst_budgeted_cost)
+from possirob import combinatorial
+from possirob.combinatorial import _fits
 
 TWO_PATH = EdgeListGraph(
     n_vertices=3,
@@ -41,8 +44,30 @@ def random_graph(rng, n_vertices=6, extra_edges=8):
                          source=0, target=n_vertices - 1)
 
 
+def random_oracle(kind: str, rng):
+    """An explicit-set, path or tree oracle on a random instance, with its size."""
+    if kind == "explicit":
+        n = int(rng.integers(1, 9))
+        return ExplicitSetOracle([(rng.random(n) < 0.5).astype(float) for _ in range(6)]), n
+    graph = random_graph(rng, int(rng.integers(2, 7)), int(rng.integers(0, 8)))
+    oracle = (ShortestPathOracle if kind == "path" else SpanningTreeOracle)(graph)
+    return oracle, graph.n_edges
+
+
 def distinct_thresholds(row, lam: float) -> int:
     return len({0.0, *row.half_widths(lam).tolist()})
+
+
+def reduced_thresholds(row, lam: float) -> set[float]:
+    """The Lee & Kwon set: d_l for l = protection, protection + 2, ... up to n,
+    and d_{n+1} = 0, from the widths sorted as d_1 >= ... >= d_n."""
+    d = sorted(row.half_widths(lam).tolist(), reverse=True) + [0.0]
+    gamma, n = row.protection, row.n
+    if gamma == 0:
+        return {d[0]}
+    if gamma == n:
+        return {0.0}
+    return {d[l - 1] for l in range(gamma, n + 1, 2)} | {0.0}
 
 
 def full_enumeration(row, lam: float, oracle):
@@ -146,20 +171,90 @@ class TestSameBitsAsTheFullEnumeration:
     def test_same_value_and_vector(self, kind):
         rng = np.random.default_rng(["explicit", "path", "tree"].index(kind))
         for trial in range(40):
-            if kind == "explicit":
-                n = int(rng.integers(1, 9))
-                oracle = ExplicitSetOracle(
-                    [(rng.random(n) < 0.5).astype(float) for _ in range(6)])
-            else:
-                graph = random_graph(rng, int(rng.integers(2, 7)), int(rng.integers(0, 8)))
-                n = graph.n_edges
-                oracle = (ShortestPathOracle if kind == "path" else SpanningTreeOracle)(graph)
+            oracle, n = random_oracle(kind, rng)
             row = self.tied_row(rng, n)
             for lam in (0.0, float(rng.uniform(0, 1)), 0.5, 1.0):
                 fast_value, fast_x = minmax_budgeted(row, lam, oracle)
                 slow_value, slow_x = full_enumeration(row, lam, oracle)
                 assert (fast_value, fast_x.tobytes()) == (slow_value, slow_x.tobytes()), \
                     f"trial {trial} lam {lam}"
+
+
+class TestFitsVerdict:
+    """The verdict on the reduced thresholds equals the full enumeration's
+    value against the budget, at the full minimum and one ulp either side."""
+
+    @staticmethod
+    def widths(rng, n):
+        # tied and zero widths in half the trials
+        if rng.random() < 0.5:
+            return rng.choice([0.0, 1.5, 4.0], size=n)
+        return rng.uniform(0.0, 5.0, n)
+
+    @pytest.mark.parametrize("kind", ["explicit", "path", "tree"])
+    def test_verdict_equals_the_full_enumeration(self, kind):
+        rng = np.random.default_rng(["explicit", "path", "tree"].index(kind) + 40)
+        checked = 0
+        for _ in range(25):
+            oracle, n = random_oracle(kind, rng)
+            c_hat = rng.choice([1.0, 2.0, 3.0], size=n) if rng.random() < 0.5 \
+                else rng.uniform(0.0, 10.0, n)
+            c_bar = self.widths(rng, n)
+            shape = float(rng.choice([0.5, 1.0, 2.0]))
+            for gamma in range(n + 1):
+                row = UncertainObjective.from_arrays(c_hat, c_bar, gamma, shape=shape)
+                for lam in (0.0, float(rng.uniform(0, 1)), 1.0):
+                    full, _ = minmax_budgeted(row, lam, oracle)
+                    for budget in (math.nextafter(full, -math.inf), full,
+                                   math.nextafter(full, math.inf), full - 1.0, full + 1.0):
+                        assert _fits(row, lam, oracle, budget) == (full <= budget)
+                        checked += 1
+        assert checked > 1000
+
+    def test_one_ulp_short_falls_back_to_every_threshold(self, monkeypatch):
+        # the reduced best misses by one ulp, inside the guard band, so the
+        # remaining thresholds are scored before the verdict is refused
+        row = UncertainObjective.from_arrays(
+            [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0],
+            [5.0, 3.0, 5.0, 8.0, 9.0, 7.0, 9.0, 3.5], 1)
+        oracle = ExplicitSetOracle([[1, 1, 0, 0, 1, 0, 0, 1], [0, 1, 1, 1, 0, 0, 1, 0],
+                                    [1, 0, 0, 1, 0, 1, 1, 0], [0, 0, 1, 0, 1, 1, 0, 1]])
+        lam = 0.25
+        full, _ = minmax_budgeted(row, lam, oracle)
+        budget = math.nextafter(full, -math.inf)
+        reduced = len(reduced_thresholds(row, lam))
+        assert reduced < distinct_thresholds(row, lam)
+        before = oracle.calls
+        assert not _fits(row, lam, oracle, budget)
+        assert oracle.calls - before == distinct_thresholds(row, lam)
+        # without the guard band the same verdict stops after the reduced set
+        monkeypatch.setattr(combinatorial, "_GUARD_BAND", 0.0)
+        before = oracle.calls
+        assert not _fits(row, lam, oracle, budget)
+        assert oracle.calls - before == reduced
+
+    def test_refused_verdict_calls_once_per_reduced_threshold(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 12))
+            oracle = ExplicitSetOracle(
+                [(rng.random(n) < 0.5).astype(float) for _ in range(4)])
+            gamma = int(rng.integers(0, n + 1))
+            row = UncertainObjective.from_arrays(
+                rng.uniform(0, 5, n), self.widths(rng, n), gamma)
+            lam = float(rng.uniform(0, 1))
+            full, _ = minmax_budgeted(row, lam, oracle)
+            before = oracle.calls
+            assert not _fits(row, lam, oracle, full - 1.0)
+            calls = oracle.calls - before
+            assert calls == len(reduced_thresholds(row, lam))
+            assert calls <= math.ceil((n - gamma) / 2) + 2
+
+    def test_an_unbounded_budget_stops_at_the_first_call(self):
+        row = two_path_row(1)
+        oracle = ExplicitSetOracle([PATH_A, PATH_BC])
+        assert _fits(row, 0.5, oracle, math.inf)
+        assert oracle.calls == 1
 
 
 class TestBruteForce:
@@ -220,6 +315,27 @@ class TestSolveCombinatorial:
         n = 3
         bound = (n + 1) * (math.ceil(math.log2(1.0 / eps)) + 1) + 1
         assert oracle.calls <= bound
+
+    def test_an_oracle_that_changes_its_answer_is_refused(self):
+        row = two_path_row(1, rho0=1.0)
+        honest = ExplicitSetOracle([PATH_A, PATH_BC])
+        out = solve_soft_nec_combinatorial(row, honest)
+        assert out.lambda_bar < 1.0
+        bisection_calls = honest.calls - distinct_thresholds(row, out.lambda_bar)
+
+        class Turncoat(ExplicitSetOracle):
+            """Answers as ``honest`` did during the bisection, then with the
+            costliest candidate."""
+
+            def minimize(self, costs):
+                if self.calls < bisection_calls:
+                    return super().minimize(costs)
+                self.calls += 1
+                x = max(self._candidates, key=lambda c: float(np.dot(costs, c)))
+                return x.copy(), float(np.dot(costs, x))
+
+        with pytest.raises(ValueError, match="deterministic"):
+            solve_soft_nec_combinatorial(row, Turncoat([PATH_A, PATH_BC]))
 
     def test_monotone_feasibility_in_the_level(self):
         rng = np.random.default_rng(23)
@@ -292,6 +408,18 @@ class TestGraphOracles:
                 costs[e] = bad
                 with pytest.raises(ValueError, match="finite"):
                     oracle.minimize(costs)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_explicit_set_rejects_non_finite_costs(self, bad):
+        oracle = ExplicitSetOracle([[1, 0, 0], [0, 1, 1]])
+        with pytest.raises(ValueError, match="finite"):
+            oracle.minimize(np.array([5.0, bad, 1.0]))
+
+    def test_explicit_set_takes_negative_costs(self):
+        x, value = ExplicitSetOracle([[1, 0, 0], [0, 1, 1]]).minimize(
+            np.array([-1.0, 2.0, -4.0]))
+        assert value == -2.0 and np.array_equal(x, [0.0, 1.0, 1.0])
 
     def test_unreachable_target_rejected(self):
         graph = EdgeListGraph(3, ((0, 1),), (1.0,), (0.0,), source=0, target=2)
